@@ -12,20 +12,26 @@
 //! - [`crash_point`] / [`arm_crash_point`]: deterministic kill points.
 //!   Library code marks the instants at which a real process death is
 //!   survivable; tests arm the N-th arrival at a named site to die.
+//!   Programmatic arming is **per thread**: only the arming thread's
+//!   own arrivals count against it, so concurrent tests crossing the
+//!   same site cannot fire or use up each other's armings.
 //!   [`CrashMode::Unwind`] simulates process exit in-test by panicking
 //!   with an [`AbortSignal`] payload that the [`Supervisor`] refuses to
 //!   retry (catch-point unwinding); [`CrashMode::Abort`] calls the real
-//!   `std::process::abort`, which the crash-smoke script uses against a
-//!   live `klest serve`. The environment hook `KLEST_CRASH_AT=site:N`
-//!   arms a real abort from outside the process.
+//!   `std::process::abort`. The environment hook `KLEST_CRASH_AT=site:N`
+//!   is the single process-wide plan: it counts arrivals from every
+//!   thread and always aborts for real, which the crash-smoke script
+//!   uses against a live `klest serve` whose requests run on pool
+//!   workers.
 //!
 //! [`Supervisor`]: crate::Supervisor
 
+use std::cell::RefCell;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// FNV-1a 64-bit hash — the integrity checksum for checkpoint payloads
 /// and journal records (dependency-free, stable across platforms).
@@ -290,88 +296,150 @@ struct ArmedCrash {
     mode: CrashMode,
 }
 
-/// Fast-path gate: crash points in hot loops cost one relaxed load when
-/// nothing is armed.
-static ANY_ARMED: AtomicBool = AtomicBool::new(false);
+/// Fast-path gate: how many crash points are armed anywhere in the
+/// process, so a crash point in a hot loop costs one relaxed load while
+/// it is zero. It counts every thread's pending [`arm_crash_point`]
+/// entries plus one for the `KLEST_CRASH_AT` plan. It starts at 1
+/// because that plan is unknown until the first arrival reads the
+/// environment, which takes the 1 back when the variable is unset.
+/// Relaxed is enough: the count publishes no data (a thread's own plan
+/// is thread-local and the process plan sits behind a `OnceLock`), and a
+/// thread always observes its own increments.
+static ARMED: AtomicUsize = AtomicUsize::new(1);
 
-fn plan() -> &'static Mutex<Vec<ArmedCrash>> {
-    static PLAN: OnceLock<Mutex<Vec<ArmedCrash>>> = OnceLock::new();
-    PLAN.get_or_init(|| {
-        let mut armed = Vec::new();
-        // KLEST_CRASH_AT=site:N arms a real abort on the N-th arrival at
-        // `site` (N >= 1; a bare site means N = 1). This is the external
-        // hook the crash-smoke script uses against a release binary.
-        if let Ok(spec) = std::env::var("KLEST_CRASH_AT") {
-            let (site, n) = match spec.rsplit_once(':') {
-                Some((site, n)) => (site.to_string(), n.parse().unwrap_or(1)),
-                None => (spec, 1),
-            };
-            if !site.is_empty() {
-                armed.push(ArmedCrash {
-                    site,
-                    remaining: n,
-                    mode: CrashMode::Abort,
-                });
-                ANY_ARMED.store(true, Ordering::Relaxed);
-            }
+/// The calling thread's programmatic armings. Only this thread's
+/// arrivals count against them, so a concurrent caller of the same site
+/// can neither fire nor use them up.
+struct ThreadPlan(Vec<ArmedCrash>);
+
+impl ThreadPlan {
+    /// Counts one arrival at `site` against the oldest arming of it and
+    /// returns its mode when that arming fires.
+    fn arrive(&mut self, site: &str) -> Option<CrashMode> {
+        let pos = self.0.iter().position(|c| c.site == site)?;
+        let crash = &mut self.0[pos];
+        crash.remaining -= 1;
+        if crash.remaining > 0 {
+            return None;
         }
-        Mutex::new(armed)
+        ARMED.fetch_sub(1, Ordering::Relaxed);
+        Some(self.0.remove(pos).mode)
+    }
+
+    fn clear(&mut self) {
+        ARMED.fetch_sub(self.0.len(), Ordering::Relaxed);
+        self.0.clear();
+    }
+}
+
+impl Drop for ThreadPlan {
+    /// A thread that exits still armed must not hold the gate open.
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
+thread_local! {
+    static THREAD_PLAN: RefCell<ThreadPlan> = const { RefCell::new(ThreadPlan(Vec::new())) };
+}
+
+/// The `KLEST_CRASH_AT=site:N` plan: a real abort on the N-th arrival at
+/// `site`, counting arrivals from every thread (the crash-smoke script's
+/// `serve.request` fires on a pool worker).
+#[derive(Debug)]
+struct ProcessPlan {
+    site: String,
+    remaining: AtomicU64,
+}
+
+impl ProcessPlan {
+    /// Parses `site:N` (N >= 1; a bare site, or an N that is not a
+    /// positive integer, means N = 1). `None` for an empty site.
+    fn parse(spec: &str) -> Option<ProcessPlan> {
+        let (site, n) = match spec.rsplit_once(':') {
+            Some((site, n)) => (site, n.parse().unwrap_or(1)),
+            None => (spec, 1),
+        };
+        (!site.is_empty()).then(|| ProcessPlan {
+            site: site.to_string(),
+            remaining: AtomicU64::new(n.max(1)),
+        })
+    }
+
+    /// Counts one arrival at `site`; `true` on exactly one arrival, the
+    /// N-th. Each read-modify-write sees a distinct count, so two
+    /// concurrent arrivals can never both claim the last one.
+    fn arrive(&self, site: &str) -> bool {
+        self.site == site
+            && self
+                .remaining
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |r| r.checked_sub(1))
+                == Ok(1)
+    }
+}
+
+fn process_plan() -> Option<&'static ProcessPlan> {
+    static PLAN: OnceLock<Option<ProcessPlan>> = OnceLock::new();
+    PLAN.get_or_init(|| {
+        let plan = std::env::var("KLEST_CRASH_AT")
+            .ok()
+            .and_then(|spec| ProcessPlan::parse(&spec));
+        if plan.is_none() {
+            ARMED.fetch_sub(1, Ordering::Relaxed);
+        }
+        plan
     })
+    .as_ref()
 }
 
-/// Arms the `hits`-th arrival at `site` to fire with `mode`
-/// (`hits = 1` means the very next arrival). Used by chaos tests;
-/// production processes arm via `KLEST_CRASH_AT` instead.
+/// Arms the `hits`-th arrival **on the calling thread** at `site` to
+/// fire with `mode` (`hits = 1` means the thread's very next arrival).
+/// Arrivals from other threads neither fire it nor count toward it, so
+/// concurrent tests crossing the same site cannot disturb each other.
+/// Arming a site twice queues the second arming behind the first. Used
+/// by chaos tests; production processes arm via `KLEST_CRASH_AT`
+/// instead, the single process-wide plan.
 pub fn arm_crash_point(site: &str, hits: u64, mode: CrashMode) {
-    let mut armed = plan().lock().unwrap_or_else(|e| e.into_inner());
-    armed.push(ArmedCrash {
-        site: site.to_string(),
-        remaining: hits.max(1),
-        mode,
+    THREAD_PLAN.with(|plan| {
+        plan.borrow_mut().0.push(ArmedCrash {
+            site: site.to_string(),
+            remaining: hits.max(1),
+            mode,
+        });
     });
-    ANY_ARMED.store(true, Ordering::Relaxed);
+    ARMED.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Disarms every armed crash point (tests call this in cleanup).
+/// Disarms every crash point armed on the calling thread (tests call
+/// this in cleanup). Other threads' armings and the `KLEST_CRASH_AT`
+/// plan are left as they are.
 pub fn disarm_crash_points() {
-    let mut armed = plan().lock().unwrap_or_else(|e| e.into_inner());
-    armed.clear();
-    ANY_ARMED.store(false, Ordering::Relaxed);
+    THREAD_PLAN.with(|plan| plan.borrow_mut().clear());
 }
 
 /// A deterministic kill point. Library code places these at the instants
 /// where crash-consistency is claimed (after a checkpoint is durable,
-/// after a journal record is fsynced); when a test or the environment
-/// has armed `site`, the scheduled arrival dies — really
-/// ([`CrashMode::Abort`]) or by [`AbortSignal`] unwinding
-/// ([`CrashMode::Unwind`]). Unarmed, it costs one relaxed atomic load
-/// (plus a one-time environment check on the very first arrival).
+/// after a journal record is fsynced); when `site` is armed, the
+/// scheduled arrival dies — really ([`CrashMode::Abort`]) or by
+/// [`AbortSignal`] unwinding ([`CrashMode::Unwind`]).
+///
+/// Each arrival counts against two plans: the calling thread's
+/// [`arm_crash_point`] armings, and the process-wide `KLEST_CRASH_AT`
+/// plan, which counts arrivals from all threads and always aborts.
+/// Unarmed, it costs one relaxed atomic load (plus a one-time
+/// environment check on the very first arrival).
 pub fn crash_point(site: &str) {
-    // The first arrival must consult the plan unconditionally: the
-    // KLEST_CRASH_AT environment arming only raises ANY_ARMED when the
-    // plan is first built, and nothing else builds it in a process that
-    // never calls arm_crash_point.
-    static ENV_INIT: std::sync::Once = std::sync::Once::new();
-    ENV_INIT.call_once(|| {
-        let _ = plan();
-    });
-    if !ANY_ARMED.load(Ordering::Relaxed) {
+    if ARMED.load(Ordering::Relaxed) == 0 {
         return;
     }
-    let fire = {
-        let mut armed = plan().lock().unwrap_or_else(|e| e.into_inner());
-        let mut fire = None;
-        if let Some(pos) = armed.iter().position(|c| c.site == site) {
-            let crash = &mut armed[pos];
-            crash.remaining -= 1;
-            if crash.remaining == 0 {
-                fire = Some(armed.remove(pos).mode);
-                if armed.is_empty() {
-                    ANY_ARMED.store(false, Ordering::Relaxed);
-                }
-            }
-        }
-        fire
+    let fire = if process_plan().is_some_and(|plan| plan.arrive(site)) {
+        Some(CrashMode::Abort)
+    } else {
+        // A thread whose locals are already torn down has no armings left.
+        THREAD_PLAN
+            .try_with(|plan| plan.borrow_mut().arrive(site))
+            .ok()
+            .flatten()
     };
     match fire {
         Some(CrashMode::Abort) => {
@@ -520,5 +588,46 @@ mod tests {
         // The armed point is consumed: further arrivals survive.
         crash_point("test/site");
         disarm_crash_points();
+    }
+
+    #[test]
+    fn armed_crash_point_ignores_other_threads() {
+        let site = "test/cross-thread";
+        arm_crash_point(site, 1, CrashMode::Unwind);
+        std::thread::spawn(move || {
+            for _ in 0..5 {
+                crash_point(site);
+            }
+            // Disarming is per thread too: the arming thread keeps its hit.
+            disarm_crash_points();
+        })
+        .join()
+        .expect("another thread's arrivals must neither fire nor use up the armed hit");
+        let caught = std::panic::catch_unwind(|| crash_point(site));
+        let payload = caught.expect_err("the arming thread's first arrival must fire");
+        let signal = payload
+            .downcast_ref::<AbortSignal>()
+            .expect("AbortSignal payload");
+        assert_eq!(signal.site, site);
+    }
+
+    #[test]
+    fn process_plan_counts_arrivals_from_every_thread() {
+        let plan = ProcessPlan::parse("test/process:3").expect("valid spec");
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| assert!(!plan.arrive("test/process")));
+            }
+        });
+        assert!(!plan.arrive("other/site"));
+        assert!(plan.arrive("test/process"), "the 3rd arrival fires");
+        assert!(!plan.arrive("test/process"), "the plan fires once");
+
+        let bare = ProcessPlan::parse("serve.request").expect("bare site");
+        assert!(bare.arrive("serve.request"), "a bare site means N = 1");
+        let zero = ProcessPlan::parse("serve.request:0").expect("N = 0 spec");
+        assert!(zero.arrive("serve.request"), "N = 0 is read as N = 1");
+        assert!(ProcessPlan::parse("").is_none());
+        assert!(ProcessPlan::parse(":2").is_none());
     }
 }

@@ -27,8 +27,11 @@
 //!   checkpoints (atomic, fsynced, checksummed, quarantine-on-damage)
 //!   plus deterministic kill points — [`CrashMode::Unwind`] simulates
 //!   process death in-test via an [`AbortSignal`] panic the supervisor
-//!   refuses to retry; [`CrashMode::Abort`] (and the `KLEST_CRASH_AT`
-//!   environment hook) is the real `std::process::abort`.
+//!   refuses to retry; [`CrashMode::Abort`] is the real
+//!   `std::process::abort`. [`arm_crash_point`] arms per thread (only
+//!   the arming thread's arrivals count), while the `KLEST_CRASH_AT`
+//!   environment hook is the single process-wide plan, counting
+//!   arrivals from every thread and always aborting for real.
 //!
 //! The crate is std-only (its single in-workspace dependency, `klest-obs`,
 //! is used for retry/fault counters) and sits below `klest-linalg`,

@@ -11,7 +11,6 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use klest::circuit::{generate, GeneratorConfig, Placement, WireModel};
 use klest::kernels::GaussianKernel;
@@ -25,9 +24,6 @@ use klest::ssta::{
 };
 use klest::sta::{GateLibrary, Timer};
 use klest_proptest::{check, check_config, strategies, Config};
-
-/// Crash points are process-global; tests that arm them serialize here.
-static CRASH_LOCK: Mutex<()> = Mutex::new(());
 
 const K: usize = 4;
 const MAX_ITERS: usize = 4000;
@@ -127,7 +123,6 @@ fn lanczos_resume_from_any_cycle_is_bitwise() {
 /// one bitwise.
 #[test]
 fn lanczos_killed_at_every_cycle_resumes_bitwise() {
-    let guard = CRASH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let name = "lanczos_killed_at_every_cycle_resumes_bitwise";
     let cfg = Config {
         cases: 4,
@@ -169,7 +164,6 @@ fn lanczos_killed_at_every_cycle_resumes_bitwise() {
         }
         Ok(())
     });
-    drop(guard);
 }
 
 /// Resuming the Monte Carlo SSTA loop from any batch checkpoint —
@@ -232,7 +226,6 @@ fn mc_resume_from_any_batch_is_bitwise() {
 /// the resumed run must match the uninterrupted run bitwise.
 #[test]
 fn mc_killed_at_every_batch_resumes_bitwise() {
-    let guard = CRASH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (timer, sampler) = mc_setup(25);
     for antithetic in [false, true] {
         let mut mc = McConfig::new(30, 7);
@@ -269,7 +262,6 @@ fn mc_killed_at_every_batch_resumes_bitwise() {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
-    drop(guard);
 }
 
 /// The request journal's recovery contract: reopening yields exactly
