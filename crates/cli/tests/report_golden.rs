@@ -165,10 +165,18 @@ fn kle_trace_nests_spans_under_command() {
 
 #[test]
 fn ssta_report_covers_all_pipeline_stages() {
+    // Plain, then supervised: `--deadline` runs both Monte Carlo arms in
+    // supervised mode, which must report the same metrics.
+    for extra in ["", "--deadline 60"] {
+        ssta_report_covers_all_pipeline_stages_with(extra);
+    }
+}
+
+fn ssta_report_covers_all_pipeline_stages_with(extra: &str) {
     let _guard = lock();
     let report = tmp_path("ssta");
     let out = run_str(&format!(
-        "ssta --circuit c880 --scale 0.2 --samples 120 --seed 2008 --threads 2 --report {}",
+        "ssta --circuit c880 --scale 0.2 --samples 120 --seed 2008 --threads 2 {extra} --report {}",
         report.display()
     ))
     .unwrap();

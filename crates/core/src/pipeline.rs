@@ -50,7 +50,7 @@ use klest_geometry::{Point2, Rect};
 use klest_kernels::CovarianceKernel;
 use klest_linalg::Matrix;
 use klest_mesh::{Mesh, MeshBuilder, MeshError};
-use klest_runtime::{Budget, CancelToken, Cancelled, StageBudgets};
+use klest_runtime::{fnv1a64, Budget, CancelToken, Cancelled, StageBudgets};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -357,19 +357,6 @@ impl Stage<&GalerkinKle> for TruncateStage {
 // Artifact keys
 // ---------------------------------------------------------------------------
 
-/// 64-bit FNV-1a — tiny, dependency-free, deterministic across runs and
-/// platforms. Used only to derive compact disk file names; equality is
-/// always decided on the full descriptor, so collisions merely cost a
-/// cache miss.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn f64_bits(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
@@ -474,6 +461,8 @@ impl ArtifactKey {
     }
 
     /// FNV-1a fingerprint of the descriptor (compact disk file names).
+    /// Equality is always decided on the full descriptor, so a collision
+    /// merely costs a cache miss.
     pub fn fingerprint(&self) -> u64 {
         fnv1a64(self.descriptor.as_bytes())
     }
@@ -1672,14 +1661,6 @@ mod tests {
         let s = ArtifactKey::spectrum(&base, EigenSolver::Full, 200);
         assert_ne!(s, ArtifactKey::spectrum(&base, EigenSolver::Lanczos, 200));
         assert_ne!(s, ArtifactKey::spectrum(&base, EigenSolver::Full, 100));
-    }
-
-    #[test]
-    fn fnv_is_the_reference_function() {
-        // Reference vectors for 64-bit FNV-1a.
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

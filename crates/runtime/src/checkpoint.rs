@@ -33,8 +33,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// FNV-1a 64-bit hash — the integrity checksum for checkpoint payloads
-/// and journal records (dependency-free, stable across platforms).
+/// FNV-1a 64-bit hash — the integrity checksum for checkpoint payloads,
+/// journal records and the artifact-cache manifest, and the cache's
+/// file-name fingerprint (dependency-free, stable across platforms).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

@@ -149,6 +149,29 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_edit_gate_is_a_bad_request_not_a_fault() {
+        let server = Server::new(fast_config());
+        let mut out: Vec<u8> = Vec::new();
+        let line = r#"{"id":"x","mode":"hier","gates":3000,"edit_gate":3500}"#;
+        let summary = server.serve(Cursor::new(format!("{line}\n")), &mut out);
+        let text = String::from_utf8(out).expect("responses are UTF-8");
+        let lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let x = line_for(&lines, "x");
+        assert_eq!(status_of(x), "bad_request", "{x}");
+        assert!(x.contains("out of range"), "{x}");
+        assert_eq!(summary.bad_requests, 1);
+        assert_eq!(summary.rejected, 1);
+        assert_eq!(summary.faults, 0);
+        assert_eq!(summary.admitted, summary.admitted_terminals());
+        // A later connection's stats probe sees no fault.
+        let mut out: Vec<u8> = Vec::new();
+        server.serve(Cursor::new("{\"op\":\"stats\",\"id\":\"s\"}\n"), &mut out);
+        let text = String::from_utf8(out).expect("responses are UTF-8");
+        let stats = text.lines().find(|l| l.contains("\"id\":\"s\"")).expect("stats line");
+        assert!(stats.contains("\"faults\":0"), "{stats}");
+    }
+
+    #[test]
     fn injected_panic_is_isolated_as_a_typed_fault() {
         let input = format!(
             "{{\"id\":\"boom\",\"inject_panic\":true,{TINY}}}\n{{\"id\":\"fine\",{TINY}}}\n"

@@ -739,13 +739,7 @@ fn extract_id(value: &Json) -> Result<Option<String>, String> {
                 Ok(Some(s.clone()))
             }
         }
-        Some(Json::Num(n)) => {
-            if n.fract() == 0.0 && (0.0..9.0e15).contains(n) {
-                Ok(Some(format!("{}", *n as u64)))
-            } else {
-                Err("`id` number must be a non-negative integer".into())
-            }
-        }
+        Some(Json::Num(n)) => exact_uint(*n, "id").map(|v| Some(v.to_string())),
         Some(_) => Err("`id` must be a string or integer".into()),
     }
 }
@@ -758,14 +752,31 @@ fn field_f64(obj: &Json, key: &str) -> Result<Option<f64>, String> {
     }
 }
 
+/// The largest integer a request may carry: 2^53 - 1. A JSON number
+/// is held as an `f64`, which represents every integer up to this one
+/// exactly; above it distinct integers parse to the same value (so
+/// 9007199254740993 would silently run as ...992).
+const MAX_EXACT_UINT: u64 = (1 << 53) - 1;
+
+/// A JSON number as a non-negative integer that the request spelled
+/// exactly.
+fn exact_uint(n: f64, key: &str) -> Result<u64, String> {
+    if n.fract() != 0.0 || n < 0.0 {
+        return Err(format!("`{key}` must be a non-negative integer"));
+    }
+    if n > MAX_EXACT_UINT as f64 {
+        return Err(format!(
+            "`{key}` must be at most {MAX_EXACT_UINT} (2^53 - 1, the largest integer a JSON number holds exactly)"
+        ));
+    }
+    Ok(n as u64)
+}
+
 fn field_uint(obj: &Json, key: &str, min: u64, max: u64) -> Result<Option<u64>, String> {
     match field_f64(obj, key)? {
         None => Ok(None),
         Some(n) => {
-            if n.fract() != 0.0 || !(0.0..9.0e15).contains(&n) {
-                return Err(format!("`{key}` must be a non-negative integer"));
-            }
-            let v = n as u64;
+            let v = exact_uint(n, key)?;
             if v < min || v > max {
                 return Err(format!("`{key}` must be in {min}..={max}, got {v}"));
             }
@@ -805,7 +816,7 @@ fn parse_circuit(obj: &Json) -> Result<CircuitSpec, String> {
             return Err("`scale` applies only to named Table 1 circuits".into());
         }
         let gates = field_uint(obj, "gates", 2, 50_000)?.unwrap_or(48) as usize;
-        let seed = field_uint(obj, "circuit_seed", 0, u64::MAX)?.unwrap_or(7);
+        let seed = field_uint(obj, "circuit_seed", 0, MAX_EXACT_UINT)?.unwrap_or(7);
         return Ok(CircuitSpec::Synthetic { gates, seed });
     }
     if obj.get("gates").is_some() || obj.get("circuit_seed").is_some() {
@@ -917,7 +928,7 @@ pub fn parse_request(line: &str) -> Result<ServeRequest, BadRequest> {
     let circuit = parse_circuit(&value).map_err(bad)?;
     let kernel = parse_kernel(&value).map_err(bad)?;
     let samples = field_uint(&value, "samples", 1, 100_000).map_err(bad)?.unwrap_or(200) as usize;
-    let seed = field_uint(&value, "seed", 0, u64::MAX).map_err(bad)?.unwrap_or(2008);
+    let seed = field_uint(&value, "seed", 0, MAX_EXACT_UINT).map_err(bad)?.unwrap_or(2008);
     let threads = field_uint(&value, "threads", 1, 32).map_err(bad)?.unwrap_or(1) as usize;
     let area_fraction = match field_pos_f64(&value, "area_fraction").map_err(bad)? {
         None => 0.02,
@@ -976,8 +987,7 @@ fn parse_mode(obj: &Json) -> Result<QueryMode, String> {
                 }
             }
             let blocks = field_uint(obj, "blocks", 1, 64)?.unwrap_or(4) as usize;
-            let edit_gate = field_uint(obj, "edit_gate", 0, 9_000_000_000_000_000)?
-                .map(|v| v as usize);
+            let edit_gate = field_uint(obj, "edit_gate", 0, MAX_EXACT_UINT)?.map(|v| v as usize);
             if edit_gate.is_none() && obj.get("edit_scale").is_some() {
                 return Err("`edit_scale` requires `edit_gate`".into());
             }
@@ -1091,6 +1101,19 @@ mod tests {
     }
 
     #[test]
+    fn integers_up_to_2_pow_53_minus_1_parse_exactly() {
+        let spec = parse_query(
+            r#"{"id":"q","seed":9007199254740991,"circuit_seed":9007199254740991}"#,
+        );
+        assert_eq!(spec.seed, 9_007_199_254_740_991);
+        assert!(matches!(spec.circuit, CircuitSpec::Synthetic { seed: 9_007_199_254_740_991, .. }));
+        match parse_request(r#"{"id":9007199254740991}"#) {
+            Ok(ServeRequest::Query { id, .. }) => assert_eq!(id, "9007199254740991"),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
     fn ping_and_shutdown_ops() {
         assert_eq!(
             parse_request(r#"{"op":"ping","id":"p"}"#),
@@ -1122,7 +1145,7 @@ mod tests {
 
     #[test]
     fn rejections_are_typed_and_carry_the_id() {
-        let cases: [(&str, &str); 12] = [
+        let cases: [(&str, &str); 15] = [
             ("not json", "malformed JSON"),
             ("[1,2]", "must be a JSON object"),
             (r#"{"id":"q","bogus":1}"#, "unknown key `bogus`"),
@@ -1135,6 +1158,9 @@ mod tests {
             (r#"{"id":"q","samples":2.5}"#, "non-negative integer"),
             (r#"{"id":"q","kernel":"matern","c":1.0}"#, "not a parameter"),
             (r#"{"id":"q","deadline_ms":-5}"#, "non-negative integer"),
+            (r#"{"id":"q","seed":9007199254740993}"#, "at most 9007199254740991"),
+            (r#"{"id":"q","circuit_seed":1e16}"#, "at most 9007199254740991"),
+            (r#"{"id":9007199254740993}"#, "at most 9007199254740991"),
         ];
         for (line, want) in cases {
             let e = parse_request(line).expect_err(line);

@@ -42,8 +42,7 @@ use klest_ssta::experiments::{CircuitSetup, KleContext, KleContextError};
 use klest_ssta::faultinject::{FaultPlan, Stage};
 use klest_ssta::hier::HierEngine;
 use klest_ssta::{
-    run_monte_carlo_supervised, run_monte_carlo_supervised_with_faults, DegradationReport,
-    KleFieldSampler, McConfig, SstaError,
+    run_monte_carlo_with, DegradationReport, KleFieldSampler, McConfig, McMode, SstaError, N_PARAMS,
 };
 use klest_sta::ParamVector;
 
@@ -147,8 +146,13 @@ pub struct ServeSummary {
     /// Queries that faulted (panicked every attempt or failed
     /// internally).
     pub faults: u64,
-    /// Lines rejected as bad requests.
+    /// Lines rejected as bad requests, including [`rejected`](Self::rejected)
+    /// queries.
     pub bad_requests: u64,
+    /// Admitted queries a worker answered `bad_request`: input that can
+    /// only be checked against the built circuit, such as an out-of-range
+    /// `edit_gate`.
+    pub rejected: u64,
     /// Pings answered.
     pub pings: u64,
     /// True when a `shutdown` request (rather than EOF) started drain.
@@ -161,10 +165,11 @@ pub struct ServeSummary {
 impl ServeSummary {
     /// Terminal responses written for admitted queries. The admission
     /// invariant is `admitted == completed + salvaged + shed_deadline +
-    /// shed_draining + cancelled + faults`.
+    /// shed_draining + cancelled + faults + rejected`.
     pub fn admitted_terminals(&self) -> u64 {
         self.completed + self.salvaged + self.shed_deadline + self.shed_draining + self.cancelled
             + self.faults
+            + self.rejected
     }
 
     /// Folds another connection's summary into this one.
@@ -179,6 +184,7 @@ impl ServeSummary {
         self.cancelled += other.cancelled;
         self.faults += other.faults;
         self.bad_requests += other.bad_requests;
+        self.rejected += other.rejected;
         self.pings += other.pings;
         self.shutdown |= other.shutdown;
         self.drained_clean &= other.drained_clean;
@@ -195,6 +201,7 @@ struct Counts {
     shed_draining: AtomicU64,
     cancelled: AtomicU64,
     faults: AtomicU64,
+    rejected: AtomicU64,
 }
 
 /// Bumps a per-connection counter, its server-lifetime twin and the obs
@@ -299,6 +306,8 @@ struct Job {
 
 enum ExecError {
     Cancelled(Cancelled),
+    /// The client's request is invalid for the circuit it names.
+    BadRequest(String),
     Internal(String),
 }
 
@@ -665,6 +674,7 @@ impl Server {
             stop_cv.notify_all();
         });
 
+        let rejected = counts.rejected.load(Ordering::Relaxed);
         let summary = ServeSummary {
             received,
             admitted: counts.admitted.load(Ordering::Relaxed),
@@ -675,7 +685,8 @@ impl Server {
             shed_draining: counts.shed_draining.load(Ordering::Relaxed),
             cancelled: counts.cancelled.load(Ordering::Relaxed),
             faults: counts.faults.load(Ordering::Relaxed),
-            bad_requests,
+            bad_requests: bad_requests + rejected,
+            rejected,
             pings,
             shutdown,
             drained_clean,
@@ -969,6 +980,15 @@ impl Server {
                     ),
                 );
             }
+            (Some(Err(ExecError::BadRequest(message))), _) => {
+                // A client error: neither a fault nor an SLO miss.
+                counts.rejected.fetch_add(1, Ordering::Relaxed);
+                klest_obs::counter_add("serve.bad_request", 1);
+                respond(
+                    out,
+                    &error_response(Some(&job.id), &ServeError::BadRequest { message }),
+                );
+            }
             (Some(Err(ExecError::Internal(message))), _) => {
                 bump(&counts.faults, &self.stats.faults, "serve.fault");
                 self.record_slo(&job, false);
@@ -1050,24 +1070,16 @@ impl Server {
             })?;
         let mc = McConfig::new(spec.samples, spec.seed).with_threads(spec.threads);
         let mut report = DegradationReport::new();
-        let run = match spec.inject_hang_ms {
-            Some(hang_ms) => {
-                let plan = FaultPlan::new().hang_at(Stage::Mc, 0, hang_ms);
-                run_monte_carlo_supervised_with_faults(
-                    &setup.timer,
-                    &sampler,
-                    &mc,
-                    token,
-                    &plan,
-                    &mut report,
-                )
-            }
-            None => run_monte_carlo_supervised(&setup.timer, &sampler, &mc, token, &mut report),
-        }
-        .map_err(|e| match e {
-            SstaError::Cancelled(c) => ExecError::Cancelled(c),
-            other => ExecError::Internal(other.to_string()),
-        })?;
+        let plan = spec
+            .inject_hang_ms
+            .map(|hang_ms| FaultPlan::new().hang_at(Stage::Mc, 0, hang_ms));
+        let mode = McMode::Supervised {
+            token,
+            faults: plan.as_ref(),
+            report: &mut report,
+        };
+        let run =
+            run_monte_carlo_with(&setup.timer, &[&sampler; N_PARAMS], &mc, mode).map_err(exec_err)?;
         let stats = run.worst_delay_stats();
         let (samples, planned, ci_widening) = match run.salvage() {
             Some(s) => (s.completed, s.planned, s.ci_widening),
@@ -1100,6 +1112,19 @@ impl Server {
         edit_scale: f64,
         token: &CancelToken,
     ) -> Result<ExecData, ExecError> {
+        // The memoized setup carries the timer, not the netlist; the
+        // partition needs fan-in/fan-out structure, so rebuild the
+        // circuit deterministically from its spec. Built first, so an
+        // edit outside it is refused before any KLE work.
+        let circuit = Self::build_circuit(&spec.circuit).map_err(ExecError::Internal)?;
+        if let Some(gate) = edit_gate {
+            if gate >= circuit.node_count() {
+                return Err(ExecError::BadRequest(format!(
+                    "edit_gate {gate} out of range: circuit has {} nodes",
+                    circuit.node_count()
+                )));
+            }
+        }
         let kernel = spec.kernel.build().map_err(ExecError::Internal)?;
         let config = frontend_config(spec);
         let budgets = StageBudgets::none();
@@ -1120,18 +1145,6 @@ impl Server {
         let setup = self.setup_for(&spec.circuit).map_err(ExecError::Internal)?;
         let sampler = KleFieldSampler::new(&ctx.kle, &ctx.mesh, ctx.rank, setup.locations())
             .map_err(exec_err)?;
-        // The memoized setup carries the timer, not the netlist; the
-        // partition needs fan-in/fan-out structure, so rebuild the
-        // circuit deterministically from its spec.
-        let circuit = Self::build_circuit(&spec.circuit).map_err(ExecError::Internal)?;
-        if let Some(gate) = edit_gate {
-            if gate >= circuit.node_count() {
-                return Err(ExecError::Internal(format!(
-                    "edit_gate {gate} out of range: circuit has {} nodes",
-                    circuit.node_count()
-                )));
-            }
-        }
         let partition = Partition::build(&circuit, blocks);
         // Block models are cached under the spectrum key so a kernel,
         // die or rank change can never serve a stale model.
@@ -1229,6 +1242,7 @@ fn summary_line(s: &ServeSummary, slo: &SloSnapshot) -> String {
         ("cancelled".into(), Json::Num(s.cancelled as f64)),
         ("faults".into(), Json::Num(s.faults as f64)),
         ("bad_requests".into(), Json::Num(s.bad_requests as f64)),
+        ("rejected".into(), Json::Num(s.rejected as f64)),
         ("pings".into(), Json::Num(s.pings as f64)),
         ("slo_target".into(), Json::Num(slo.target)),
         ("slo_total".into(), Json::Num(slo.total as f64)),

@@ -2,14 +2,12 @@
 
 use crate::faultinject::FaultPlan;
 use crate::{
-    run_monte_carlo, run_monte_carlo_per_param, run_monte_carlo_supervised_per_param,
-    CholeskySampler, DegradationEvent, DegradationReport, GateFieldSampler, KleFieldSampler,
-    McConfig, McRun, SalvageStats, SstaError, SummaryStats, N_PARAMS,
+    run_monte_carlo, run_monte_carlo_with, CholeskySampler, DegradationEvent, DegradationReport,
+    GateFieldSampler, KleFieldSampler, McConfig, McMode, McRun, SalvageStats, SstaError,
+    SummaryStats, N_PARAMS,
 };
 use klest_circuit::{Circuit, Placement, WireModel};
-use klest_core::pipeline::{
-    run_frontend, ArtifactCache, Engine, ExecPolicy, FrontEndConfig, FrontEndError, Stage,
-};
+use klest_core::pipeline::{run_frontend, ArtifactCache, ExecPolicy, FrontEndConfig, FrontEndError};
 use klest_core::{GalerkinKle, KleOptions, QuadratureRule, TruncationCriterion};
 use klest_geometry::Point2;
 use klest_kernels::CovarianceKernel;
@@ -275,58 +273,6 @@ pub struct MethodComparison {
     pub kle_salvage: Option<SalvageStats>,
 }
 
-/// Input to one Monte Carlo arm: the field generator driving all four
-/// statistical parameters, plus the mutable degradation report the
-/// supervised runner records salvage events into.
-struct McArmInput<'r> {
-    sampler: &'r dyn GateFieldSampler,
-    report: &'r mut DegradationReport,
-}
-
-/// One Monte Carlo arm (reference or KLE) as a pipeline [`Stage`]: under
-/// a plain policy it runs the historical strict loop; under a supervised
-/// policy the [`Engine`] hands it a child token carrying the `mc` stage
-/// budget and it runs the fault-isolated supervised loop with the
-/// optional fault plan.
-struct McArmStage<'a> {
-    arm: &'static str,
-    timer: &'a Timer,
-    config: &'a McConfig,
-    plan: Option<&'a FaultPlan>,
-}
-
-impl<'r> Stage<McArmInput<'r>> for McArmStage<'_> {
-    type Output = McRun;
-    type Error = SstaError;
-
-    fn name(&self) -> &'static str {
-        self.arm
-    }
-
-    fn budget_key(&self) -> Option<&'static str> {
-        Some("mc")
-    }
-
-    fn run(
-        &self,
-        input: McArmInput<'r>,
-        token: Option<&CancelToken>,
-    ) -> Result<McRun, SstaError> {
-        let samplers: [&dyn GateFieldSampler; N_PARAMS] = [input.sampler; N_PARAMS];
-        match token {
-            None => run_monte_carlo_per_param(self.timer, &samplers, self.config),
-            Some(token) => run_monte_carlo_supervised_per_param(
-                self.timer,
-                &samplers,
-                self.config,
-                token,
-                self.plan,
-                input.report,
-            ),
-        }
-    }
-}
-
 /// Sampler-construction behaviour of the one comparison dataflow.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum RepairMode {
@@ -340,9 +286,9 @@ enum RepairMode {
 }
 
 /// The single comparison dataflow behind all three public entry points:
-/// reference arm then KLE arm, each executed as an [`McArmStage`] by one
-/// [`Engine`] whose [`ExecPolicy`] decides plain vs supervised, with
-/// `mode` deciding strict vs repair-ladder sampler construction.
+/// reference arm then KLE arm, with `policy` deciding plain vs
+/// supervised Monte Carlo and `mode` deciding strict vs repair-ladder
+/// sampler construction.
 fn compare_methods_engine<K: CovarianceKernel + ?Sized>(
     setup: &CircuitSetup,
     kernel: &K,
@@ -352,12 +298,27 @@ fn compare_methods_engine<K: CovarianceKernel + ?Sized>(
     mode: RepairMode,
     plan: Option<&FaultPlan>,
 ) -> Result<MethodComparison, SstaError> {
-    let engine = Engine::new(policy);
     let tolerant = mode == RepairMode::Tolerant;
     let mut report = DegradationReport::new();
     if tolerant {
         report.merge(&ctx.degradation);
     }
+    // One Monte Carlo arm with `sampler` driving all four parameters.
+    // Under a supervised policy each arm runs under its own child token
+    // carrying the `mc` stage budget, so a straggling reference arm
+    // cannot starve the KLE arm.
+    let run_arm = |sampler: &dyn GateFieldSampler, report: &mut DegradationReport| {
+        let token = policy.stage_token(Some("mc"));
+        let mode = match &token {
+            None => McMode::Plain,
+            Some(token) => McMode::Supervised {
+                token,
+                faults: plan,
+                report,
+            },
+        };
+        run_monte_carlo_with(&setup.timer, &[sampler; N_PARAMS], config, mode)
+    };
 
     // Reference arm (Algorithm 1).
     let span_ref = klest_obs::span("mc/reference");
@@ -367,19 +328,7 @@ fn compare_methods_engine<K: CovarianceKernel + ?Sized>(
     } else {
         CholeskySampler::new(kernel, setup.locations())?
     };
-    let stage = McArmStage {
-        arm: "mc/reference",
-        timer: &setup.timer,
-        config,
-        plan,
-    };
-    let mc_run = engine.exec(
-        &stage,
-        McArmInput {
-            sampler: &reference,
-            report: &mut report,
-        },
-    )?;
+    let mc_run = run_arm(&reference, &mut report)?;
     let mc_time = started.elapsed();
     drop(span_ref);
 
@@ -408,19 +357,7 @@ fn compare_methods_engine<K: CovarianceKernel + ?Sized>(
         });
         &reference
     };
-    let stage = McArmStage {
-        arm: "mc/kle",
-        timer: &setup.timer,
-        config,
-        plan,
-    };
-    let kle_run = engine.exec(
-        &stage,
-        McArmInput {
-            sampler,
-            report: &mut report,
-        },
-    )?;
+    let kle_run = run_arm(sampler, &mut report)?;
     let kle_time = started.elapsed();
     Ok(summarize(setup, ctx, mc_run, mc_time, kle_run, kle_time, report))
 }

@@ -12,15 +12,18 @@
 //!   via `D_λ ξ` (eq. 28), and gather per-gate values through the
 //!   triangle index.
 //!
-//! [`run_monte_carlo`] drives either sampler through N timing runs
-//! (optionally across threads, optionally with antithetic variates) and
-//! returns worst-delay samples, per-output statistics and statistical
-//! criticality; [`experiments`] packages the paper's Table 1 and Fig. 6
-//! comparisons. [`run_monte_carlo_supervised`] is the deadline-aware
-//! variant: workers run under a fault-isolating supervisor, poll a
+//! [`run_monte_carlo_with`] runs the Monte Carlo loop behind every entry
+//! point: N timing samples with a sampler per statistical parameter
+//! (optionally across threads, optionally with antithetic variates),
+//! returning worst-delay samples, per-output statistics and statistical
+//! criticality. Its [`McMode`] picks the execution: plain; supervised,
+//! where shards run under a fault-isolating supervisor, poll a
 //! [`klest_runtime::CancelToken`] between samples, and a cancelled or
 //! partially-faulted run salvages every completed sample with the CI
-//! widening recorded in [`SalvageStats`].
+//! widening recorded in [`SalvageStats`]; or checkpointed, resumable
+//! bitwise from any [`McCheckpoint`]. [`run_monte_carlo`] and
+//! [`run_monte_carlo_supervised`] are its one-sampler forms;
+//! [`experiments`] packages the paper's Table 1 and Fig. 6 comparisons.
 //!
 //! Beyond the paper's Monte Carlo: [`GridPcaSampler`] is the Sec. 2.1
 //! grid baseline, [`ProcessModel`] binds a distinct kernel per
@@ -66,9 +69,8 @@ pub use degradation::{DegradationEvent, DegradationReport};
 pub use error::SstaError;
 pub use grid_model::GridPcaSampler;
 pub use mc::{
-    run_monte_carlo, run_monte_carlo_checkpointed, run_monte_carlo_per_param,
-    run_monte_carlo_supervised, run_monte_carlo_supervised_per_param,
-    run_monte_carlo_supervised_with_faults, McCheckpoint, McConfig, McRun, SalvageStats, N_PARAMS,
+    run_monte_carlo, run_monte_carlo_supervised, run_monte_carlo_with, McCheckpoint, McConfig,
+    McMode, McRun, SalvageStats, N_PARAMS,
 };
 pub use normal::NormalSource;
 pub use process::ProcessModel;

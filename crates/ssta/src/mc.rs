@@ -5,7 +5,7 @@ use crate::{
     DegradationEvent, DegradationReport, GateFieldSampler, NormalSource, OutputStats, SstaError,
     SummaryStats,
 };
-use klest_runtime::{CancelToken, Cancelled, Supervisor};
+use klest_runtime::{CancelToken, Cancelled, ShardStatus, Supervisor};
 use klest_sta::{ParamVector, Timer};
 use klest_rng::{SeedableRng, StdRng};
 use std::time::{Duration, Instant};
@@ -121,8 +121,9 @@ impl McRun {
         self.wall
     }
 
-    /// Salvage statistics — `Some` for runs produced by
-    /// [`run_monte_carlo_supervised`] and friends, `None` for plain runs.
+    /// Salvage statistics — `Some` for runs in [`McMode::Supervised`]
+    /// (including [`run_monte_carlo_supervised`]), `None` for plain and
+    /// checkpointed runs.
     pub fn salvage(&self) -> Option<&SalvageStats> {
         self.salvage.as_ref()
     }
@@ -146,7 +147,8 @@ impl McRun {
 /// Runs `N` Monte Carlo STA iterations: per sample, draws [`N_PARAMS`]
 /// independent correlated fields from `sampler` (the paper's tests use
 /// one kernel for all four parameters), assembles per-node parameter
-/// vectors and runs the timer.
+/// vectors and runs the timer. [`run_monte_carlo_with`] in
+/// [`McMode::Plain`] with `sampler` driving every parameter.
 ///
 /// # Errors
 ///
@@ -157,111 +159,228 @@ pub fn run_monte_carlo<S: GateFieldSampler>(
     sampler: &S,
     config: &McConfig,
 ) -> Result<McRun, SstaError> {
-    let samplers: [&dyn GateFieldSampler; N_PARAMS] = [&sampler; N_PARAMS].map(|s| s as _);
-    run_monte_carlo_per_param(timer, &samplers, config)
+    run_monte_carlo_with(timer, &[sampler as _; N_PARAMS], config, McMode::Plain)
 }
 
-/// The general form of Algorithms 1/2: a distinct field generator per
-/// statistical parameter (`for all stat. parameters p_j ... K_j` in the
-/// paper's pseudocode), in `[L, W, Vt, tox]` order. Generators may mix
-/// kinds (e.g. KLE for the long-range parameters, grid-PCA for a
-/// legacy one).
+/// Supervised [`run_monte_carlo`]: [`run_monte_carlo_with`] in
+/// [`McMode::Supervised`] with no fault plan and `sampler` driving every
+/// parameter.
+///
+/// # Errors
+///
+/// As for [`run_monte_carlo_with`] in supervised mode.
+pub fn run_monte_carlo_supervised<S: GateFieldSampler>(
+    timer: &Timer,
+    sampler: &S,
+    config: &McConfig,
+    token: &CancelToken,
+    report: &mut DegradationReport,
+) -> Result<McRun, SstaError> {
+    let mode = McMode::Supervised {
+        token,
+        faults: None,
+        report,
+    };
+    run_monte_carlo_with(timer, &[sampler as _; N_PARAMS], config, mode)
+}
+
+/// How [`run_monte_carlo_with`] executes its shards — the Monte Carlo
+/// counterpart of the pipeline's `ExecPolicy`. Every mode runs the same
+/// per-sample loop on the same sample stream.
+pub enum McMode<'a> {
+    /// A single shard runs on the calling thread, several on scoped
+    /// threads. Nothing is caught: a panic propagates, and the run
+    /// carries no [`SalvageStats`].
+    Plain,
+    /// Shards run under a fault-isolating [`Supervisor`], poll `token`
+    /// between samples (`mc/sample` checkpoints) and return partial
+    /// results on cancellation. Panicking shards are retried with bounded
+    /// backoff; shards that exhaust their retries lose only their own
+    /// samples. The run always carries [`SalvageStats`] and records
+    /// [`DegradationEvent`]s for cancellation, CI widening and every
+    /// worker fault. With a live (never-tripped) token and no faults the
+    /// samples are bitwise identical to the plain run's.
+    Supervised {
+        /// Cancellation token polled before every sample.
+        token: &'a CancelToken,
+        /// Panics / hangs injected at the `mc/sample` sites — the
+        /// deterministic harness behind the fault-injection suite and the
+        /// CLI's `--inject-*` flags.
+        faults: Option<&'a FaultPlan>,
+        /// Receives the salvage and worker-fault events.
+        report: &'a mut DegradationReport,
+    },
+    /// Sample batches on the calling thread: after every `batch`
+    /// completed samples (and once more at the end) an [`McCheckpoint`]
+    /// is handed to `on_batch`, and the `mc/batch` deterministic kill
+    /// point ([`klest_runtime::crash_point`]) is passed. Feeding a
+    /// captured checkpoint back as `resume` continues the run and
+    /// produces a **bitwise identical** [`McRun`] (worst delays, output
+    /// moments, criticality) to the uninterrupted run with the same
+    /// config. Checkpointing is defined for the sequential sample stream
+    /// only, so `threads` must be 1; with antithetic variates `batch`
+    /// must be even so every boundary falls between mirror pairs.
+    Checkpointed {
+        /// Samples between checkpoints.
+        batch: usize,
+        /// Checkpoint to continue from, if any.
+        resume: Option<&'a McCheckpoint>,
+        /// Receives every checkpoint.
+        on_batch: &'a mut dyn FnMut(&McCheckpoint),
+    },
+}
+
+/// The Monte Carlo run behind every entry point, in the general form
+/// of Algorithms 1/2: a distinct field generator per statistical
+/// parameter (`for all stat. parameters p_j ... K_j` in the paper's
+/// pseudocode), in `[L, W, Vt, tox]` order. Generators may mix kinds
+/// (e.g. KLE for the long-range parameters, grid-PCA for a legacy one).
+/// The sample budget is split into one shard per thread, each with its
+/// own RNG stream; `mode` decides how the shards run.
 ///
 /// # Errors
 ///
 /// [`SstaError::InvalidConfig`] for a zero sample count or any
-/// sampler/timer node-count mismatch.
-pub fn run_monte_carlo_per_param(
+/// sampler/timer node-count mismatch; in checkpointed mode also for
+/// `threads != 1`, a zero or (with antithetic) odd `batch`, or a
+/// `resume` checkpoint inconsistent with `timer`/`config`. In
+/// supervised mode, [`SstaError::Cancelled`] when cancellation struck
+/// before *any* sample completed and [`SstaError::WorkerFault`] when
+/// every sample was lost to panicking shards.
+pub fn run_monte_carlo_with(
     timer: &Timer,
     samplers: &[&dyn GateFieldSampler; N_PARAMS],
     config: &McConfig,
+    mode: McMode<'_>,
 ) -> Result<McRun, SstaError> {
-    if config.samples == 0 {
-        return Err(SstaError::InvalidConfig {
-            name: "samples",
-            value: "0".into(),
-        });
-    }
-    for (i, s) in samplers.iter().enumerate() {
-        if s.node_count() != timer.node_count() {
-            return Err(SstaError::InvalidConfig {
-                name: "sampler.node_count",
-                value: format!(
-                    "param {i}: {} (timer has {})",
-                    s.node_count(),
-                    timer.node_count()
-                ),
-            });
-        }
-    }
+    validate(timer, samplers, config, &mode)?;
     let started = Instant::now();
     let threads = config.threads.max(1).min(config.samples);
     let n_outputs = timer.outputs().len();
 
-    // Split the sample budget across workers.
+    // Split the sample budget across shards.
     let mut shares = vec![config.samples / threads; threads];
     for s in shares.iter_mut().take(config.samples % threads) {
         *s += 1;
     }
-
-    let antithetic = config.antithetic;
-    let observe = klest_obs::enabled();
-    let mut results: Vec<WorkerOutput> = Vec::with_capacity(threads);
-    if threads == 1 {
-        results.push(worker(
+    let fresh = |shard: usize| {
+        // A single shard runs on the base seed, so a truncated supervised
+        // run salvages an exact prefix of the plain run's sample stream.
+        let seed = if threads == 1 {
+            config.seed
+        } else {
+            config.seed.wrapping_add(0x100_0003u64.wrapping_mul(shard as u64 + 1))
+        };
+        ShardState::new(seed, shares[shard], n_outputs)
+    };
+    let run_fresh = |shard: usize, token: Option<&CancelToken>| {
+        let mut state = fresh(shard);
+        let cancelled = run_samples(
             timer,
             samplers,
-            config.seed,
-            config.samples,
-            n_outputs,
-            antithetic,
-        ));
-        if observe {
-            klest_obs::histogram_observe(
-                "mc.worker_wall_ms",
-                started.elapsed().as_secs_f64() * 1e3,
-            );
+            config.antithetic,
+            &mut state,
+            shares[shard],
+            token,
+            None,
+        );
+        (state, cancelled)
+    };
+
+    let mut resumed = 0;
+    let (shards, salvage) = match mode {
+        McMode::Plain if threads == 1 => (vec![run_fresh(0, None).0], None),
+        McMode::Plain => {
+            // Spans stay on the coordinating thread (thread-local stacks
+            // start fresh in workers); workers report through the
+            // thread-safe metrics registry instead.
+            let shards = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|shard| scope.spawn(move || run_fresh(shard, None).0))
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            });
+            (shards, None)
         }
-    } else {
-        let mut slots: Vec<Option<WorkerOutput>> = (0..threads).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (t, (slot, &share)) in slots.iter_mut().zip(shares.iter()).enumerate() {
-                let seed = config.seed.wrapping_add(0x100_0003u64.wrapping_mul(t as u64 + 1));
-                scope.spawn(move || {
-                    // Spans stay on the coordinating thread (thread-local
-                    // stacks start fresh here); workers report through the
-                    // thread-safe metrics registry instead.
-                    let t0 = observe.then(Instant::now);
-                    *slot = Some(worker(timer, samplers, seed, share, n_outputs, antithetic));
-                    if let Some(t0) = t0 {
-                        klest_obs::histogram_observe(
-                            "mc.worker_wall_ms",
-                            t0.elapsed().as_secs_f64() * 1e3,
-                        );
-                    }
-                });
+        McMode::Supervised {
+            token,
+            faults,
+            report,
+        } => {
+            let _span = klest_obs::span("mc/supervised");
+            let run = Supervisor::new(token.clone()).run(threads, |shard, tok| {
+                if let Some(plan) = faults {
+                    // Injected hang / panic on entry; a panic here is
+                    // caught by the supervisor and the retried shard
+                    // reruns from this point with the same seed,
+                    // reproducing the original sample stream.
+                    plan.fire(Stage::Mc, shard, tok);
+                }
+                run_fresh(shard, Some(tok))
+            });
+            // Keep everything completed shards produced, including the
+            // partial output of cancelled stragglers.
+            let mut shards = Vec::with_capacity(threads);
+            let mut first_cancel = None;
+            for (state, cancelled) in run.results.into_iter().flatten() {
+                shards.push(state);
+                first_cancel = first_cancel.or(cancelled);
             }
-        });
-        results.extend(slots.into_iter().map(|s| s.expect("worker completed")));
-    }
+            let completed = shards.iter().map(|s| s.worst.len()).sum();
+            let salvage =
+                salvage(&run.status, first_cancel, completed, config.samples, token, report)?;
+            (shards, Some(salvage))
+        }
+        McMode::Checkpointed {
+            batch,
+            resume,
+            on_batch,
+        } => {
+            let mut state = match resume {
+                Some(cp) => {
+                    resumed = cp.completed;
+                    ShardState::resume(cp)?
+                }
+                None => fresh(0),
+            };
+            run_samples(
+                timer,
+                samplers,
+                config.antithetic,
+                &mut state,
+                config.samples,
+                None,
+                Some((batch, on_batch)),
+            );
+            (vec![state], None)
+        }
+    };
 
     let mut worst_delays = Vec::with_capacity(config.samples);
     let mut output_stats = OutputStats::new(n_outputs);
     let mut critical_counts = vec![0usize; n_outputs];
-    for (w, o, crit) in results {
-        worst_delays.extend(w);
-        output_stats.merge(&o);
-        for (acc, c) in critical_counts.iter_mut().zip(crit) {
+    for shard in shards {
+        worst_delays.extend(shard.worst);
+        output_stats.merge(&shard.stats);
+        for (acc, c) in critical_counts.iter_mut().zip(shard.critical_counts) {
             *acc += c;
         }
     }
     let wall = started.elapsed();
-    if observe {
-        klest_obs::counter_add("mc.samples", config.samples as u64);
+    if klest_obs::enabled() {
+        let ran = worst_delays.len() - resumed;
+        klest_obs::counter_add("mc.samples", ran as u64);
         klest_obs::gauge_set("mc.threads", threads as f64);
         let secs = wall.as_secs_f64();
         if secs > 0.0 {
-            klest_obs::gauge_set("mc.samples_per_sec", config.samples as f64 / secs);
+            klest_obs::gauge_set("mc.samples_per_sec", ran as f64 / secs);
+        }
+        if let Some(salvage) = &salvage {
+            klest_obs::counter_add("mc.samples_salvaged", salvage.completed as u64);
+            klest_obs::gauge_set("mc.ci_widening", salvage.ci_widening);
         }
     }
     Ok(McRun {
@@ -270,71 +389,17 @@ pub fn run_monte_carlo_per_param(
         critical_counts,
         random_dims: samplers.iter().map(|s| s.random_dims()).max().unwrap_or(0),
         wall,
-        salvage: None,
+        salvage,
     })
 }
 
-/// Supervised [`run_monte_carlo`]: workers run under a fault-isolating
-/// [`Supervisor`], poll `token` between samples (`mc/sample` checkpoints)
-/// and return partial results on cancellation. Panicking shards are
-/// retried with bounded backoff; shards that exhaust their retries lose
-/// only their own samples. The returned run always carries
-/// [`SalvageStats`] and records [`DegradationEvent`]s for cancellation,
-/// CI widening and every worker fault.
-///
-/// With a live (never-tripped) token and no faults the samples are
-/// bitwise identical to [`run_monte_carlo`]'s.
-///
-/// # Errors
-///
-/// [`SstaError::InvalidConfig`] as for [`run_monte_carlo`];
-/// [`SstaError::Cancelled`] when cancellation struck before *any* sample
-/// completed; [`SstaError::WorkerFault`] when every sample was lost to
-/// panicking shards.
-pub fn run_monte_carlo_supervised<S: GateFieldSampler>(
-    timer: &Timer,
-    sampler: &S,
-    config: &McConfig,
-    token: &CancelToken,
-    report: &mut DegradationReport,
-) -> Result<McRun, SstaError> {
-    let samplers: [&dyn GateFieldSampler; N_PARAMS] = [&sampler; N_PARAMS].map(|s| s as _);
-    run_monte_carlo_supervised_per_param(timer, &samplers, config, token, None, report)
-}
-
-/// [`run_monte_carlo_supervised`] with a [`FaultPlan`] injecting panics /
-/// hangs at `mc/sample` sites — the deterministic harness behind the
-/// fault-injection suite and the CLI's `--inject-*` flags.
-///
-/// # Errors
-///
-/// As for [`run_monte_carlo_supervised`].
-pub fn run_monte_carlo_supervised_with_faults<S: GateFieldSampler>(
-    timer: &Timer,
-    sampler: &S,
-    config: &McConfig,
-    token: &CancelToken,
-    plan: &FaultPlan,
-    report: &mut DegradationReport,
-) -> Result<McRun, SstaError> {
-    let samplers: [&dyn GateFieldSampler; N_PARAMS] = [&sampler; N_PARAMS].map(|s| s as _);
-    run_monte_carlo_supervised_per_param(timer, &samplers, config, token, Some(plan), report)
-}
-
-/// The general supervised form: distinct generator per parameter, optional
-/// fault plan. See [`run_monte_carlo_supervised`] for the contract.
-///
-/// # Errors
-///
-/// As for [`run_monte_carlo_supervised`].
-pub fn run_monte_carlo_supervised_per_param(
+/// Rejects a configuration `mode` cannot run, before any sample is drawn.
+fn validate(
     timer: &Timer,
     samplers: &[&dyn GateFieldSampler; N_PARAMS],
     config: &McConfig,
-    token: &CancelToken,
-    plan: Option<&FaultPlan>,
-    report: &mut DegradationReport,
-) -> Result<McRun, SstaError> {
+    mode: &McMode<'_>,
+) -> Result<(), SstaError> {
     if config.samples == 0 {
         return Err(SstaError::InvalidConfig {
             name: "samples",
@@ -353,64 +418,68 @@ pub fn run_monte_carlo_supervised_per_param(
             });
         }
     }
-    let _span = klest_obs::span("mc/supervised");
-    let started = Instant::now();
-    let threads = config.threads.max(1).min(config.samples);
-    let n_outputs = timer.outputs().len();
-
-    let mut shares = vec![config.samples / threads; threads];
-    for s in shares.iter_mut().take(config.samples % threads) {
-        *s += 1;
+    let McMode::Checkpointed { batch, resume, .. } = mode else {
+        return Ok(());
+    };
+    if config.threads != 1 {
+        return Err(SstaError::InvalidConfig {
+            name: "threads",
+            value: format!("{} (checkpointed runs are single-threaded)", config.threads),
+        });
     }
-
-    let antithetic = config.antithetic;
-    let shares_ref = &shares;
-    let supervisor = Supervisor::new(token.clone());
-    let run = supervisor.run(threads, |shard, tok| {
-        // The single-shard seed matches the sequential path of
-        // `run_monte_carlo`, so a truncated supervised run salvages an
-        // exact prefix of the plain run's sample stream.
-        let seed = if threads == 1 {
-            config.seed
-        } else {
-            config.seed.wrapping_add(0x100_0003u64.wrapping_mul(shard as u64 + 1))
-        };
-        supervised_worker(
-            timer,
-            samplers,
-            seed,
-            shares_ref[shard],
-            n_outputs,
-            antithetic,
-            tok,
-            plan,
-            shard,
-        )
-    });
-
-    // Salvage: keep everything completed shards produced, including the
-    // partial output of cancelled stragglers.
-    let mut worst_delays = Vec::with_capacity(config.samples);
-    let mut output_stats = OutputStats::new(n_outputs);
-    let mut critical_counts = vec![0usize; n_outputs];
-    let mut first_cancel: Option<Cancelled> = None;
-    for ((w, o, crit), cancel) in run.results.iter().flatten() {
-        worst_delays.extend_from_slice(w);
-        output_stats.merge(o);
-        for (acc, c) in critical_counts.iter_mut().zip(crit) {
-            *acc += c;
-        }
-        if first_cancel.is_none() {
-            first_cancel.clone_from(cancel);
+    if *batch == 0 || (config.antithetic && !batch.is_multiple_of(2)) {
+        return Err(SstaError::InvalidConfig {
+            name: "batch",
+            value: format!(
+                "{batch} (must be positive{})",
+                if config.antithetic { ", and even with antithetic variates" } else { "" }
+            ),
+        });
+    }
+    if let Some(cp) = resume {
+        // Antithetic resume must land on a pair boundary — except at
+        // `completed == samples`, where an odd sample count legitimately
+        // ends mid-pair and there is nothing left to generate.
+        let n_outputs = timer.outputs().len();
+        let consistent = cp.completed <= config.samples
+            && cp.outputs() == n_outputs
+            && (!config.antithetic
+                || cp.completed.is_multiple_of(2)
+                || cp.completed == config.samples);
+        if !consistent {
+            return Err(SstaError::InvalidConfig {
+                name: "resume",
+                value: format!(
+                    "checkpoint at {} samples / {} outputs does not fit run of {} / {}",
+                    cp.completed,
+                    cp.outputs(),
+                    config.samples,
+                    n_outputs
+                ),
+            });
         }
     }
+    Ok(())
+}
 
-    let mut shards_retried = 0usize;
+/// Salvage accounting for a supervised run that kept `completed` of
+/// `planned` samples: records a [`DegradationEvent`] for every retried or
+/// lost shard and for truncation, and surfaces a run that salvaged
+/// nothing as its typed cause.
+fn salvage(
+    status: &[ShardStatus],
+    first_cancel: Option<Cancelled>,
+    completed: usize,
+    planned: usize,
+    token: &CancelToken,
+    report: &mut DegradationReport,
+) -> Result<SalvageStats, SstaError> {
+    let (mut shards_retried, mut worker_faults) = (0usize, 0usize);
     let mut first_fault: Option<SstaError> = None;
-    for (shard, status) in run.status.iter().enumerate() {
+    for (shard, status) in status.iter().enumerate() {
         match status {
-            klest_runtime::ShardStatus::Completed => {}
-            klest_runtime::ShardStatus::Recovered { retries } => {
+            ShardStatus::Completed => {}
+            ShardStatus::Recovered { retries } => {
                 shards_retried += 1;
                 report.record(DegradationEvent::WorkerFault {
                     stage: "mc/sample",
@@ -419,7 +488,8 @@ pub fn run_monte_carlo_supervised_per_param(
                     recovered: true,
                 });
             }
-            klest_runtime::ShardStatus::Faulted { attempts, message } => {
+            ShardStatus::Faulted { attempts, message } => {
+                worker_faults += 1;
                 report.record(DegradationEvent::WorkerFault {
                     stage: "mc/sample",
                     shard,
@@ -438,8 +508,6 @@ pub fn run_monte_carlo_supervised_per_param(
         }
     }
 
-    let completed = worst_delays.len();
-    let planned = config.samples;
     if completed == 0 {
         // Nothing to salvage: surface the typed cause.
         return Err(match (first_fault, first_cancel) {
@@ -467,32 +535,17 @@ pub fn run_monte_carlo_supervised_per_param(
         });
         report.record(DegradationEvent::CiWidened { factor: ci_widening });
     }
-
-    let wall = started.elapsed();
-    if klest_obs::enabled() {
-        klest_obs::counter_add("mc.samples", completed as u64);
-        klest_obs::counter_add("mc.samples_salvaged", completed as u64);
-        klest_obs::gauge_set("mc.threads", threads as f64);
-        klest_obs::gauge_set("mc.ci_widening", ci_widening);
-    }
-    Ok(McRun {
-        worst_delays,
-        output_stats,
-        critical_counts,
-        random_dims: samplers.iter().map(|s| s.random_dims()).max().unwrap_or(0),
-        wall,
-        salvage: Some(SalvageStats {
-            planned,
-            completed,
-            shards_retried,
-            worker_faults: run.fault_count(),
-            ci_widening,
-        }),
+    Ok(SalvageStats {
+        planned,
+        completed,
+        shards_retried,
+        worker_faults,
+        ci_widening,
     })
 }
 
 /// Crash-consistent snapshot of a single-threaded Monte Carlo run,
-/// captured at a sample-batch boundary by [`run_monte_carlo_checkpointed`].
+/// captured at a sample-batch boundary by [`McMode::Checkpointed`].
 ///
 /// The snapshot is *complete*: worst-delay prefix, Welford accumulator
 /// internals, criticality counts, the xoshiro RNG state and the normal
@@ -633,214 +686,97 @@ impl McCheckpoint {
     }
 }
 
-/// [`run_monte_carlo`] in checkpointed sample batches: after every
-/// `batch` completed samples (and once more at the end) an
-/// [`McCheckpoint`] is handed to `on_batch`, and the `mc/batch`
-/// deterministic kill point ([`klest_runtime::crash_point`]) is passed.
-/// Feeding a captured checkpoint back as `resume` continues the run and
-/// produces a **bitwise identical** [`McRun`] (worst delays, output
-/// moments, criticality) to the uninterrupted run with the same config.
-///
-/// Checkpointing is defined for the sequential sample stream only, so
-/// `threads` must be 1; with antithetic variates `batch` must be even so
-/// every boundary falls between mirror pairs.
-///
-/// # Errors
-///
-/// [`SstaError::InvalidConfig`] as for [`run_monte_carlo`], plus for
-/// `threads != 1`, a zero or (with antithetic) odd `batch`, or a `resume`
-/// checkpoint inconsistent with `timer`/`config`.
-pub fn run_monte_carlo_checkpointed<S: GateFieldSampler>(
-    timer: &Timer,
-    sampler: &S,
-    config: &McConfig,
-    batch: usize,
-    resume: Option<&McCheckpoint>,
-    on_batch: &mut dyn FnMut(&McCheckpoint),
-) -> Result<McRun, SstaError> {
-    let samplers: [&dyn GateFieldSampler; N_PARAMS] = [&sampler; N_PARAMS].map(|s| s as _);
-    if config.samples == 0 {
-        return Err(SstaError::InvalidConfig {
-            name: "samples",
-            value: "0".into(),
-        });
-    }
-    if config.threads != 1 {
-        return Err(SstaError::InvalidConfig {
-            name: "threads",
-            value: format!("{} (checkpointed runs are single-threaded)", config.threads),
-        });
-    }
-    if batch == 0 || (config.antithetic && !batch.is_multiple_of(2)) {
-        return Err(SstaError::InvalidConfig {
-            name: "batch",
-            value: format!(
-                "{batch} (must be positive{})",
-                if config.antithetic { ", and even with antithetic variates" } else { "" }
-            ),
-        });
-    }
-    for (i, s) in samplers.iter().enumerate() {
-        if s.node_count() != timer.node_count() {
-            return Err(SstaError::InvalidConfig {
-                name: "sampler.node_count",
-                value: format!(
-                    "param {i}: {} (timer has {})",
-                    s.node_count(),
-                    timer.node_count()
-                ),
-            });
-        }
-    }
-    let n_outputs = timer.outputs().len();
-    if let Some(cp) = resume {
-        // Antithetic resume must land on a pair boundary — except at
-        // `completed == samples`, where an odd sample count legitimately
-        // ends mid-pair and there is nothing left to generate.
-        let consistent = cp.completed <= config.samples
-            && cp.outputs() == n_outputs
-            && (!config.antithetic
-                || cp.completed.is_multiple_of(2)
-                || cp.completed == config.samples);
-        if !consistent {
-            return Err(SstaError::InvalidConfig {
-                name: "resume",
-                value: format!(
-                    "checkpoint at {} samples / {} outputs does not fit run of {} / {}",
-                    cp.completed,
-                    cp.outputs(),
-                    config.samples,
-                    n_outputs
-                ),
-            });
-        }
-    }
-
-    let started = Instant::now();
-    let n = timer.node_count();
-    let (mut normals, start_at, mut worst, mut stats, mut critical_counts) = match resume {
-        Some(cp) => {
-            let stats = OutputStats::from_raw_parts(
-                cp.stats_count,
-                cp.stats_mean.clone(),
-                cp.stats_m2.clone(),
-            )
-            .ok_or_else(|| SstaError::InvalidConfig {
-                name: "resume",
-                value: "corrupted accumulator widths".into(),
-            })?;
-            (
-                NormalSource::from_parts(StdRng::from_state(cp.rng_state), cp.spare),
-                cp.completed,
-                cp.worst_delays.clone(),
-                stats,
-                cp.critical_counts.clone(),
-            )
-        }
-        None => (
-            NormalSource::new(StdRng::seed_from_u64(config.seed)),
-            0,
-            Vec::with_capacity(config.samples),
-            OutputStats::new(n_outputs),
-            vec![0usize; n_outputs],
-        ),
-    };
-    let mut fields = vec![vec![0.0; n]; N_PARAMS];
-    let mut params = vec![ParamVector::ZERO; n];
-    let mut arrivals = vec![0.0; n];
-    let mut slews = vec![0.0; n];
-    let mut out_values = vec![0.0; n_outputs];
-    for s in start_at..config.samples {
-        if config.antithetic && s % 2 == 1 {
-            // Mirror the previous draw (see `worker`); a batch boundary
-            // never splits a mirror pair, so resumed runs always start on
-            // a fresh draw.
-            for field in fields.iter_mut() {
-                for v in field.iter_mut() {
-                    *v = -*v;
-                }
-            }
-        } else {
-            for (field, sampler) in fields.iter_mut().zip(samplers.iter()) {
-                sampler.sample_into(&mut normals, field);
-            }
-        }
-        for (i, p) in params.iter_mut().enumerate() {
-            *p = ParamVector::new([fields[0][i], fields[1][i], fields[2][i], fields[3][i]]);
-        }
-        let w = timer.analyze_into(&params, &mut arrivals, &mut slews);
-        worst.push(w);
-        let mut argmax = 0usize;
-        let mut best = f64::NEG_INFINITY;
-        for ((slot, v), o) in out_values.iter_mut().enumerate().zip(timer.outputs()) {
-            *v = arrivals[o.index()];
-            if *v > best {
-                best = *v;
-                argmax = slot;
-            }
-        }
-        if n_outputs > 0 {
-            critical_counts[argmax] += 1;
-        }
-        stats.push(&out_values);
-        let done = s + 1;
-        if done % batch == 0 || done == config.samples {
-            let (count, mean, m2) = stats.raw_parts();
-            let cp = McCheckpoint {
-                completed: done,
-                worst_delays: worst.clone(),
-                stats_count: count,
-                stats_mean: mean.to_vec(),
-                stats_m2: m2.to_vec(),
-                critical_counts: critical_counts.clone(),
-                rng_state: normals.rng_mut().state(),
-                spare: normals.spare(),
-            };
-            on_batch(&cp);
-            klest_runtime::crash_point("mc/batch");
-        }
-    }
-    let wall = started.elapsed();
-    if klest_obs::enabled() {
-        klest_obs::counter_add("mc.samples", (config.samples - start_at) as u64);
-        klest_obs::gauge_set("mc.threads", 1.0);
-    }
-    Ok(McRun {
-        worst_delays: worst,
-        output_stats: stats,
-        critical_counts,
-        random_dims: samplers.iter().map(|s| s.random_dims()).max().unwrap_or(0),
-        wall,
-        salvage: None,
-    })
+/// One shard's sample stream and accumulated results — exactly the state
+/// an [`McCheckpoint`] captures.
+struct ShardState {
+    normals: NormalSource<StdRng>,
+    worst: Vec<f64>,
+    stats: OutputStats,
+    critical_counts: Vec<usize>,
 }
 
-/// Per-worker results: worst delays, per-output stats, criticality counts.
-type WorkerOutput = (Vec<f64>, OutputStats, Vec<usize>);
+impl ShardState {
+    /// A shard about to draw `samples` samples from `seed`.
+    fn new(seed: u64, samples: usize, n_outputs: usize) -> Self {
+        ShardState {
+            normals: NormalSource::new(StdRng::seed_from_u64(seed)),
+            worst: Vec::with_capacity(samples),
+            stats: OutputStats::new(n_outputs),
+            critical_counts: vec![0usize; n_outputs],
+        }
+    }
 
-/// One worker's share of the Monte Carlo loop.
-fn worker(
+    /// The shard a checkpoint captured.
+    fn resume(cp: &McCheckpoint) -> Result<Self, SstaError> {
+        let stats =
+            OutputStats::from_raw_parts(cp.stats_count, cp.stats_mean.clone(), cp.stats_m2.clone())
+                .ok_or_else(|| SstaError::InvalidConfig {
+                    name: "resume",
+                    value: "corrupted accumulator widths".into(),
+                })?;
+        Ok(ShardState {
+            normals: NormalSource::from_parts(StdRng::from_state(cp.rng_state), cp.spare),
+            worst: cp.worst_delays.clone(),
+            stats,
+            critical_counts: cp.critical_counts.clone(),
+        })
+    }
+
+    fn checkpoint(&mut self) -> McCheckpoint {
+        let (count, mean, m2) = self.stats.raw_parts();
+        McCheckpoint {
+            completed: self.worst.len(),
+            worst_delays: self.worst.clone(),
+            stats_count: count,
+            stats_mean: mean.to_vec(),
+            stats_m2: m2.to_vec(),
+            critical_counts: self.critical_counts.clone(),
+            rng_state: self.normals.rng_mut().state(),
+            spare: self.normals.spare(),
+        }
+    }
+}
+
+/// Samples between checkpoints, and the hook receiving each one.
+type BatchHook<'h> = (usize, &'h mut dyn FnMut(&McCheckpoint));
+
+/// The per-sample loop every mode runs: draw (or mirror) the
+/// [`N_PARAMS`] fields, gather them into per-node [`ParamVector`]s, time
+/// the circuit, and push the worst delay, critical output and output
+/// arrivals into `state` — for samples `state.worst.len()..end` of one
+/// shard. With a `token`, each sample first passes an `mc/sample`
+/// checkpoint; a trip returns the cancellation, leaving the completed
+/// samples in `state`. With a `batch` hook, every `batch`-th sample and
+/// the last one hand a snapshot of `state` to the hook and then pass the
+/// `mc/batch` kill point.
+fn run_samples(
     timer: &Timer,
     samplers: &[&dyn GateFieldSampler; N_PARAMS],
-    seed: u64,
-    samples: usize,
-    n_outputs: usize,
     antithetic: bool,
-) -> WorkerOutput {
+    state: &mut ShardState,
+    end: usize,
+    token: Option<&CancelToken>,
+    mut batch: Option<BatchHook<'_>>,
+) -> Option<Cancelled> {
+    let observe = klest_obs::enabled().then(Instant::now);
     let n = timer.node_count();
-    let mut normals = NormalSource::new(StdRng::seed_from_u64(seed));
+    let n_outputs = timer.outputs().len();
     let mut fields = vec![vec![0.0; n]; N_PARAMS];
     let mut params = vec![ParamVector::ZERO; n];
     let mut arrivals = vec![0.0; n];
     let mut slews = vec![0.0; n];
     let mut out_values = vec![0.0; n_outputs];
-    let mut worst = Vec::with_capacity(samples);
-    let mut stats = OutputStats::new(n_outputs);
-    let mut critical_counts = vec![0usize; n_outputs];
-    for s in 0..samples {
+    let mut cancelled = None;
+    for s in state.worst.len()..end {
+        if let Some(Err(c)) = token.map(|t| t.checkpoint("mc/sample")) {
+            cancelled = Some(c.with_completed(state.worst.len()));
+            break;
+        }
         if antithetic && s % 2 == 1 {
             // Mirror the previous draw: fields are linear in the
             // underlying normals, so negating the field equals negating ξ.
+            // A batch boundary never splits a mirror pair, so a resumed
+            // shard always starts on a fresh draw.
             for field in fields.iter_mut() {
                 for v in field.iter_mut() {
                     *v = -*v;
@@ -848,14 +784,14 @@ fn worker(
             }
         } else {
             for (field, sampler) in fields.iter_mut().zip(samplers.iter()) {
-                sampler.sample_into(&mut normals, field);
+                sampler.sample_into(&mut state.normals, field);
             }
         }
         for (i, p) in params.iter_mut().enumerate() {
             *p = ParamVector::new([fields[0][i], fields[1][i], fields[2][i], fields[3][i]]);
         }
         let w = timer.analyze_into(&params, &mut arrivals, &mut slews);
-        worst.push(w);
+        state.worst.push(w);
         let mut argmax = 0usize;
         let mut best = f64::NEG_INFINITY;
         for ((slot, v), o) in out_values.iter_mut().enumerate().zip(timer.outputs()) {
@@ -866,87 +802,27 @@ fn worker(
             }
         }
         if n_outputs > 0 {
-            critical_counts[argmax] += 1;
+            state.critical_counts[argmax] += 1;
         }
-        stats.push(&out_values);
-    }
-    (worst, stats, critical_counts)
-}
-
-/// One supervised worker: the plain [`worker`] loop plus a per-sample
-/// `mc/sample` checkpoint and fault-plan instrumentation. Returns whatever
-/// it completed together with the cancellation marker, if any — the
-/// supervisor salvages the partial output either way.
-#[allow(clippy::too_many_arguments)]
-fn supervised_worker(
-    timer: &Timer,
-    samplers: &[&dyn GateFieldSampler; N_PARAMS],
-    seed: u64,
-    samples: usize,
-    n_outputs: usize,
-    antithetic: bool,
-    token: &CancelToken,
-    plan: Option<&FaultPlan>,
-    shard: usize,
-) -> (WorkerOutput, Option<Cancelled>) {
-    if let Some(plan) = plan {
-        // Injected hang / panic on entry; a panic here is caught by the
-        // supervisor and the retried shard reruns from this point with
-        // the same seed, reproducing the original sample stream.
-        plan.fire(Stage::Mc, shard, token);
-    }
-    let n = timer.node_count();
-    let mut normals = NormalSource::new(StdRng::seed_from_u64(seed));
-    let mut fields = vec![vec![0.0; n]; N_PARAMS];
-    let mut params = vec![ParamVector::ZERO; n];
-    let mut arrivals = vec![0.0; n];
-    let mut slews = vec![0.0; n];
-    let mut out_values = vec![0.0; n_outputs];
-    let mut worst = Vec::with_capacity(samples);
-    let mut stats = OutputStats::new(n_outputs);
-    let mut critical_counts = vec![0usize; n_outputs];
-    for s in 0..samples {
-        if let Err(c) = token.checkpoint("mc/sample") {
-            let done = worst.len();
-            return ((worst, stats, critical_counts), Some(c.with_completed(done)));
-        }
-        if antithetic && s % 2 == 1 {
-            for field in fields.iter_mut() {
-                for v in field.iter_mut() {
-                    *v = -*v;
-                }
-            }
-        } else {
-            for (field, sampler) in fields.iter_mut().zip(samplers.iter()) {
-                sampler.sample_into(&mut normals, field);
+        state.stats.push(&out_values);
+        if let Some((every, on_batch)) = batch.as_mut() {
+            let done = s + 1;
+            if done % *every == 0 || done == end {
+                on_batch(&state.checkpoint());
+                klest_runtime::crash_point("mc/batch");
             }
         }
-        for (i, p) in params.iter_mut().enumerate() {
-            *p = ParamVector::new([fields[0][i], fields[1][i], fields[2][i], fields[3][i]]);
-        }
-        let w = timer.analyze_into(&params, &mut arrivals, &mut slews);
-        worst.push(w);
-        let mut argmax = 0usize;
-        let mut best = f64::NEG_INFINITY;
-        for ((slot, v), o) in out_values.iter_mut().enumerate().zip(timer.outputs()) {
-            *v = arrivals[o.index()];
-            if *v > best {
-                best = *v;
-                argmax = slot;
-            }
-        }
-        if n_outputs > 0 {
-            critical_counts[argmax] += 1;
-        }
-        stats.push(&out_values);
     }
-    ((worst, stats, critical_counts), None)
+    if let Some(t0) = observe {
+        klest_obs::histogram_observe("mc.worker_wall_ms", t0.elapsed().as_secs_f64() * 1e3);
+    }
+    cancelled
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CholeskySampler;
+    use crate::{CholeskySampler, GridPcaSampler, KleFieldSampler};
     use klest_circuit::{generate, GeneratorConfig, Placement, WireModel};
     use klest_kernels::GaussianKernel;
     use klest_sta::GateLibrary;
@@ -957,6 +833,23 @@ mod tests {
         let timer = Timer::new(&c, &p, WireModel::default(), GateLibrary::default_90nm());
         let sampler = CholeskySampler::new(&GaussianKernel::new(2.0), p.locations()).unwrap();
         (timer, sampler)
+    }
+
+    /// One circuit with a Cholesky, a KLE and a grid-PCA generator.
+    fn mixed_setup() -> (Timer, CholeskySampler, KleFieldSampler, GridPcaSampler) {
+        use klest_core::{GalerkinKle, KleOptions};
+        use klest_geometry::Rect;
+        use klest_mesh::MeshBuilder;
+        let c = generate("mix", GeneratorConfig::combinational(60, 8)).unwrap();
+        let p = Placement::recursive_bisection(&c);
+        let timer = Timer::new(&c, &p, WireModel::default(), GateLibrary::default_90nm());
+        let kernel = GaussianKernel::new(2.0);
+        let chol = CholeskySampler::new(&kernel, p.locations()).unwrap();
+        let mesh = MeshBuilder::new(Rect::unit_die()).max_area(0.05).build().unwrap();
+        let kle = GalerkinKle::compute(&mesh, &kernel, KleOptions::default()).unwrap();
+        let kle_s = KleFieldSampler::new(&kle, &mesh, 15, p.locations()).unwrap();
+        let grid = GridPcaSampler::new(&kernel, Rect::unit_die(), 6, 15, p.locations()).unwrap();
+        (timer, chol, kle_s, grid)
     }
 
     #[test]
@@ -1061,30 +954,18 @@ mod tests {
 
     #[test]
     fn per_param_mixed_samplers() {
-        use crate::{GridPcaSampler, KleFieldSampler};
-        use klest_core::{GalerkinKle, KleOptions};
-        use klest_geometry::Rect;
-        use klest_mesh::MeshBuilder;
-        let c = generate("mix", GeneratorConfig::combinational(60, 8)).unwrap();
-        let p = Placement::recursive_bisection(&c);
-        let timer = Timer::new(&c, &p, WireModel::default(), GateLibrary::default_90nm());
-        let kernel = GaussianKernel::new(2.0);
-        let chol = CholeskySampler::new(&kernel, p.locations()).unwrap();
-        let mesh = MeshBuilder::new(Rect::unit_die()).max_area(0.05).build().unwrap();
-        let kle = GalerkinKle::compute(&mesh, &kernel, KleOptions::default()).unwrap();
-        let kle_s = KleFieldSampler::new(&kle, &mesh, 15, p.locations()).unwrap();
-        let grid = GridPcaSampler::new(&kernel, Rect::unit_die(), 6, 15, p.locations()).unwrap();
+        let (timer, chol, kle_s, grid) = mixed_setup();
         // L from Cholesky, W from KLE, Vt from grid-PCA, tox from KLE.
         let samplers: [&dyn GateFieldSampler; N_PARAMS] = [&chol, &kle_s, &grid, &kle_s];
-        let run =
-            run_monte_carlo_per_param(&timer, &samplers, &McConfig::new(200, 5)).unwrap();
+        let run = run_monte_carlo_with(&timer, &samplers, &McConfig::new(200, 5), McMode::Plain)
+            .unwrap();
         assert_eq!(run.worst_delays().len(), 200);
         assert!(run.worst_delay_stats().std_dev > 0.0);
         assert_eq!(run.random_dims(), timer.node_count(), "max over params");
         // Mismatched node counts in one slot are rejected.
         let (other_timer, _) = setup(61);
         assert!(matches!(
-            run_monte_carlo_per_param(&other_timer, &samplers, &McConfig::new(5, 1)),
+            run_monte_carlo_with(&other_timer, &samplers, &McConfig::new(5, 1), McMode::Plain),
             Err(SstaError::InvalidConfig { .. })
         ));
     }
@@ -1092,20 +973,40 @@ mod tests {
     #[test]
     fn supervised_matches_plain_run_bitwise_when_untripped() {
         let (timer, sampler) = setup(40);
+        let (mix_timer, chol, kle_s, grid) = mixed_setup();
+        let mixed: [&dyn GateFieldSampler; N_PARAMS] = [&chol, &kle_s, &grid, &kle_s];
         for threads in [1usize, 3] {
             let cfg = McConfig::new(60, 7).with_threads(threads);
-            let plain = run_monte_carlo(&timer, &sampler, &cfg).unwrap();
             let token = CancelToken::unlimited();
             let mut report = DegradationReport::new();
-            let sup =
-                run_monte_carlo_supervised(&timer, &sampler, &cfg, &token, &mut report).unwrap();
-            assert_eq!(plain.worst_delays(), sup.worst_delays(), "threads={threads}");
-            assert!(report.is_clean(), "{report}");
-            let salvage = sup.salvage().expect("supervised runs report salvage");
-            assert_eq!(salvage.planned, 60);
-            assert_eq!(salvage.completed, 60);
-            assert_eq!(salvage.ci_widening, 1.0);
-            assert!(!salvage.truncated());
+            let mut mixed_report = DegradationReport::new();
+            let supervised_mixed = McMode::Supervised {
+                token: &token,
+                faults: None,
+                report: &mut mixed_report,
+            };
+            // One sampler for all parameters, then mixed per-parameter
+            // generators through the general form.
+            let runs = [
+                (
+                    run_monte_carlo(&timer, &sampler, &cfg).unwrap(),
+                    run_monte_carlo_supervised(&timer, &sampler, &cfg, &token, &mut report)
+                        .unwrap(),
+                ),
+                (
+                    run_monte_carlo_with(&mix_timer, &mixed, &cfg, McMode::Plain).unwrap(),
+                    run_monte_carlo_with(&mix_timer, &mixed, &cfg, supervised_mixed).unwrap(),
+                ),
+            ];
+            for ((plain, sup), report) in runs.iter().zip([&report, &mixed_report]) {
+                assert_eq!(plain.worst_delays(), sup.worst_delays(), "threads={threads}");
+                assert!(report.is_clean(), "{report}");
+                let salvage = sup.salvage().expect("supervised runs report salvage");
+                assert_eq!(salvage.planned, 60);
+                assert_eq!(salvage.completed, 60);
+                assert_eq!(salvage.ci_widening, 1.0);
+                assert!(!salvage.truncated());
+            }
         }
     }
 
@@ -1142,10 +1043,12 @@ mod tests {
         let token = CancelToken::unlimited();
         let plan = FaultPlan::new().panic_at(Stage::Mc, 1);
         let mut report = DegradationReport::new();
-        let run = run_monte_carlo_supervised_with_faults(
-            &timer, &sampler, &cfg, &token, &plan, &mut report,
-        )
-        .unwrap();
+        let mode = McMode::Supervised {
+            token: &token,
+            faults: Some(&plan),
+            report: &mut report,
+        };
+        let run = run_monte_carlo_with(&timer, &[&sampler; N_PARAMS], &cfg, mode).unwrap();
         // The retry reran shard 1 with its original seed: full salvage,
         // same sample multiset as the clean parallel run.
         assert_eq!(run.worst_delays().len(), 40);
@@ -1167,10 +1070,12 @@ mod tests {
         // More scheduled panics than the supervisor will retry.
         let plan = FaultPlan::new().panic_at_times(Stage::Mc, 0, 100);
         let mut report = DegradationReport::new();
-        let run = run_monte_carlo_supervised_with_faults(
-            &timer, &sampler, &cfg, &token, &plan, &mut report,
-        )
-        .unwrap();
+        let mode = McMode::Supervised {
+            token: &token,
+            faults: Some(&plan),
+            report: &mut report,
+        };
+        let run = run_monte_carlo_with(&timer, &[&sampler; N_PARAMS], &cfg, mode).unwrap();
         // Shard 0's 20 samples are lost; shard 1's 20 survive.
         assert_eq!(run.worst_delays().len(), 20);
         let salvage = run.salvage().unwrap();
@@ -1197,15 +1102,13 @@ mod tests {
         let token = CancelToken::unlimited();
         let plan = FaultPlan::new().panic_at_times(Stage::Mc, 0, 100);
         let mut report = DegradationReport::new();
-        let err = run_monte_carlo_supervised_with_faults(
-            &timer,
-            &sampler,
-            &McConfig::new(10, 1),
-            &token,
-            &plan,
-            &mut report,
-        )
-        .unwrap_err();
+        let mode = McMode::Supervised {
+            token: &token,
+            faults: Some(&plan),
+            report: &mut report,
+        };
+        let err = run_monte_carlo_with(&timer, &[&sampler; N_PARAMS], &McConfig::new(10, 1), mode)
+            .unwrap_err();
         assert!(
             matches!(err, SstaError::WorkerFault { shard: 0, .. }),
             "{err:?}"
@@ -1233,15 +1136,12 @@ mod tests {
             }
             let plain = run_monte_carlo(&timer, &sampler, &cfg).unwrap();
             let mut checkpoints = Vec::new();
-            let full = run_monte_carlo_checkpointed(
-                &timer,
-                &sampler,
-                &cfg,
-                8,
-                None,
-                &mut |cp| checkpoints.push(cp.clone()),
-            )
-            .unwrap();
+            let mode = McMode::Checkpointed {
+                batch: 8,
+                resume: None,
+                on_batch: &mut |cp| checkpoints.push(cp.clone()),
+            };
+            let full = run_monte_carlo_with(&timer, &[&sampler; N_PARAMS], &cfg, mode).unwrap();
             assert_eq!(run_bits(&full), run_bits(&plain), "antithetic={antithetic}");
             // ceil(50/8) = 7 boundaries (the last is the final sample).
             assert_eq!(checkpoints.len(), 7);
@@ -1250,15 +1150,13 @@ mod tests {
                 // Disk round-trip through the textual format, then resume.
                 let restored = McCheckpoint::deserialize(&cp.serialize()).unwrap();
                 assert_eq!(&restored, cp, "serialization must be lossless");
-                let resumed = run_monte_carlo_checkpointed(
-                    &timer,
-                    &sampler,
-                    &cfg,
-                    8,
-                    Some(&restored),
-                    &mut |_| {},
-                )
-                .unwrap();
+                let mode = McMode::Checkpointed {
+                    batch: 8,
+                    resume: Some(&restored),
+                    on_batch: &mut |_| {},
+                };
+                let resumed =
+                    run_monte_carlo_with(&timer, &[&sampler; N_PARAMS], &cfg, mode).unwrap();
                 assert_eq!(
                     run_bits(&resumed),
                     run_bits(&plain),
@@ -1274,10 +1172,12 @@ mod tests {
         let (timer, sampler) = setup(30);
         let cfg = McConfig::new(16, 3);
         let mut last = None;
-        let _ = run_monte_carlo_checkpointed(&timer, &sampler, &cfg, 8, None, &mut |cp| {
-            last = Some(cp.clone())
-        })
-        .unwrap();
+        let mode = McMode::Checkpointed {
+            batch: 8,
+            resume: None,
+            on_batch: &mut |cp| last = Some(cp.clone()),
+        };
+        let _ = run_monte_carlo_with(&timer, &[&sampler; N_PARAMS], &cfg, mode).unwrap();
         let wire = last.unwrap().serialize();
         assert!(McCheckpoint::deserialize(&wire).is_some());
         // Torn tail, wrong header, count drift, trailing garbage.
@@ -1292,39 +1192,45 @@ mod tests {
     #[test]
     fn checkpointed_run_rejects_bad_configs() {
         let (timer, sampler) = setup(30);
-        let nop = &mut |_: &McCheckpoint| {};
+        let samplers: [&dyn GateFieldSampler; N_PARAMS] = [&sampler; N_PARAMS];
+        // Leaking the zero-sized no-op hook allocates nothing.
+        let nop = |batch, resume| McMode::Checkpointed {
+            batch,
+            resume,
+            on_batch: Box::leak(Box::new(|_: &McCheckpoint| {})),
+        };
         let threaded = McConfig::new(10, 1).with_threads(2);
         assert!(matches!(
-            run_monte_carlo_checkpointed(&timer, &sampler, &threaded, 4, None, nop),
+            run_monte_carlo_with(&timer, &samplers, &threaded, nop(4, None)),
             Err(SstaError::InvalidConfig { name: "threads", .. })
         ));
         assert!(matches!(
-            run_monte_carlo_checkpointed(&timer, &sampler, &McConfig::new(10, 1), 0, None, nop),
+            run_monte_carlo_with(&timer, &samplers, &McConfig::new(10, 1), nop(0, None)),
             Err(SstaError::InvalidConfig { name: "batch", .. })
         ));
         let anti = McConfig::new(10, 1).with_antithetic();
         assert!(matches!(
-            run_monte_carlo_checkpointed(&timer, &sampler, &anti, 3, None, nop),
+            run_monte_carlo_with(&timer, &samplers, &anti, nop(3, None)),
             Err(SstaError::InvalidConfig { name: "batch", .. })
         ));
         // A checkpoint from a different circuit shape is rejected.
         let cfg = McConfig::new(10, 1);
         let mut cp = None;
-        let _ = run_monte_carlo_checkpointed(&timer, &sampler, &cfg, 4, None, &mut |c| {
-            cp = Some(c.clone())
-        })
-        .unwrap();
+        let capture = McMode::Checkpointed {
+            batch: 4,
+            resume: None,
+            on_batch: &mut |c| cp = Some(c.clone()),
+        };
+        let _ = run_monte_carlo_with(&timer, &samplers, &cfg, capture).unwrap();
         let cp = cp.unwrap();
         let (other_timer, other_sampler) = setup(31);
         if other_timer.outputs().len() != timer.outputs().len() {
             assert!(matches!(
-                run_monte_carlo_checkpointed(
+                run_monte_carlo_with(
                     &other_timer,
-                    &other_sampler,
+                    &[&other_sampler; N_PARAMS],
                     &cfg,
-                    4,
-                    Some(&cp),
-                    nop
+                    nop(4, Some(&cp))
                 ),
                 Err(SstaError::InvalidConfig { name: "resume", .. })
             ));
@@ -1332,7 +1238,7 @@ mod tests {
         // A checkpoint claiming more samples than the run is rejected.
         let tiny = McConfig::new(2, 1);
         assert!(matches!(
-            run_monte_carlo_checkpointed(&timer, &sampler, &tiny, 2, Some(&cp), nop),
+            run_monte_carlo_with(&timer, &samplers, &tiny, nop(2, Some(&cp))),
             Err(SstaError::InvalidConfig { name: "resume", .. })
         ));
     }
@@ -1345,9 +1251,12 @@ mod tests {
         let plan = FaultPlan::new().abort_at(Stage::Mc, 1, 1);
         let mut report = DegradationReport::new();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_monte_carlo_supervised_with_faults(
-                &timer, &sampler, &cfg, &token, &plan, &mut report,
-            )
+            let mode = McMode::Supervised {
+                token: &token,
+                faults: Some(&plan),
+                report: &mut report,
+            };
+            run_monte_carlo_with(&timer, &[&sampler; N_PARAMS], &cfg, mode)
         }));
         let payload = caught.expect_err("simulated abort must unwind out of the run");
         assert!(

@@ -10,7 +10,7 @@
 
 use crate::experiments::{CircuitSetup, KleContext};
 use crate::{
-    run_monte_carlo_per_param, CholeskySampler, GateFieldSampler, KleFieldSampler, McConfig,
+    run_monte_carlo_with, CholeskySampler, GateFieldSampler, KleFieldSampler, McConfig, McMode,
     McRun, SstaError, N_PARAMS,
 };
 use klest_kernels::CovarianceKernel;
@@ -146,7 +146,7 @@ impl<'a> ProcessModel<'a> {
                     s as &dyn GateFieldSampler
                 }
             });
-        run_monte_carlo_per_param(&setup.timer, &samplers, config)
+        run_monte_carlo_with(&setup.timer, &samplers, config, McMode::Plain)
     }
 }
 

@@ -21,8 +21,8 @@ use klest_ssta::faultinject::{
     NanKernel, NearSingularKernel, Stage,
 };
 use klest_ssta::{
-    run_monte_carlo, run_monte_carlo_supervised_with_faults, CholeskySampler, DegradationEvent,
-    DegradationReport, GateFieldSampler, KleFieldSampler, McConfig, NormalSource, SstaError,
+    run_monte_carlo, run_monte_carlo_with, CholeskySampler, DegradationEvent, DegradationReport,
+    GateFieldSampler, KleFieldSampler, McConfig, McMode, NormalSource, SstaError, N_PARAMS,
 };
 use std::time::Duration;
 
@@ -285,15 +285,13 @@ fn injected_panic_is_retried_and_the_run_recovers_exactly() {
     let plan = FaultPlan::new().panic_at(Stage::Mc, 0);
     let token = CancelToken::unlimited();
     let mut report = DegradationReport::new();
-    let run = run_monte_carlo_supervised_with_faults(
-        &setup.timer,
-        &sampler,
-        &cfg,
-        &token,
-        &plan,
-        &mut report,
-    )
-    .expect("supervised run survives the injected panic");
+    let mode = McMode::Supervised {
+        token: &token,
+        faults: Some(&plan),
+        report: &mut report,
+    };
+    let run = run_monte_carlo_with(&setup.timer, &[&sampler; N_PARAMS], &cfg, mode)
+        .expect("supervised run survives the injected panic");
     assert_eq!(run.worst_delays(), clean.worst_delays());
     let salvage = run.salvage().expect("salvage stats");
     assert_eq!(salvage.completed, 80);
@@ -320,15 +318,13 @@ fn injected_hang_is_broken_by_deadline_and_samples_salvaged() {
     let token = CancelToken::with_budget(klest_runtime::Budget::wall(Duration::from_millis(300)));
     let mut report = DegradationReport::new();
     let started = std::time::Instant::now();
-    let run = run_monte_carlo_supervised_with_faults(
-        &setup.timer,
-        &sampler,
-        &cfg,
-        &token,
-        &plan,
-        &mut report,
-    )
-    .expect("hung run salvages the live shard");
+    let mode = McMode::Supervised {
+        token: &token,
+        faults: Some(&plan),
+        report: &mut report,
+    };
+    let run = run_monte_carlo_with(&setup.timer, &[&sampler; N_PARAMS], &cfg, mode)
+        .expect("hung run salvages the live shard");
     // The ten-minute hang did not serialize into wall time.
     assert!(
         started.elapsed() < Duration::from_secs(60),

@@ -20,7 +20,8 @@ use klest::runtime::{
 };
 use klest::serve::RequestJournal;
 use klest::ssta::{
-    run_monte_carlo, run_monte_carlo_checkpointed, CholeskySampler, McCheckpoint, McConfig, McRun,
+    run_monte_carlo, run_monte_carlo_with, CholeskySampler, McCheckpoint, McConfig, McMode, McRun,
+    N_PARAMS,
 };
 use klest::sta::{GateLibrary, Timer};
 use klest_proptest::{check, check_config, strategies, Config};
@@ -192,10 +193,13 @@ fn mc_resume_from_any_batch_is_bitwise() {
         }
         let plain = run_monte_carlo(&timer, &sampler, &mc).map_err(|e| format!("plain: {e:?}"))?;
         let mut checkpoints: Vec<String> = Vec::new();
-        let full = run_monte_carlo_checkpointed(&timer, &sampler, &mc, batch, None, &mut |cp| {
-            checkpoints.push(cp.serialize());
-        })
-        .map_err(|e| format!("checkpointed: {e:?}"))?;
+        let mode = McMode::Checkpointed {
+            batch,
+            resume: None,
+            on_batch: &mut |cp| checkpoints.push(cp.serialize()),
+        };
+        let full = run_monte_carlo_with(&timer, &[&sampler; N_PARAMS], &mc, mode)
+            .map_err(|e| format!("checkpointed: {e:?}"))?;
         let want = mc_bits(&plain);
         if mc_bits(&full) != want {
             return Err("checkpointed run diverged from plain run".into());
@@ -210,9 +214,13 @@ fn mc_resume_from_any_batch_is_bitwise() {
         for (i, text) in checkpoints.iter().enumerate() {
             let cp = McCheckpoint::deserialize(text)
                 .ok_or_else(|| format!("batch {i}: checkpoint failed to round-trip"))?;
-            let resumed =
-                run_monte_carlo_checkpointed(&timer, &sampler, &mc, batch, Some(&cp), &mut |_| {})
-                    .map_err(|e| format!("resume from batch {i}: {e:?}"))?;
+            let mode = McMode::Checkpointed {
+                batch,
+                resume: Some(&cp),
+                on_batch: &mut |_| {},
+            };
+            let resumed = run_monte_carlo_with(&timer, &[&sampler; N_PARAMS], &mc, mode)
+                .map_err(|e| format!("resume from batch {i}: {e:?}"))?;
             if mc_bits(&resumed) != want {
                 return Err(format!("resume from batch {i} diverged bitwise"));
             }
@@ -240,20 +248,29 @@ fn mc_killed_at_every_batch_resumes_bitwise() {
             let dir = scratch_dir("mc");
             let store = CheckpointStore::open(&dir).expect("store");
             let site = kill_at("mc/batch", h as u64, || {
-                run_monte_carlo_checkpointed(&timer, &sampler, &mc, batch, None, &mut |cp| {
-                    store
-                        .save("mc", &cp.serialize())
-                        .expect("durable checkpoint");
-                })
+                let mode = McMode::Checkpointed {
+                    batch,
+                    resume: None,
+                    on_batch: &mut |cp| {
+                        store
+                            .save("mc", &cp.serialize())
+                            .expect("durable checkpoint");
+                    },
+                };
+                run_monte_carlo_with(&timer, &[&sampler; N_PARAMS], &mc, mode)
             })
             .expect("armed kill must fire with an AbortSignal");
             assert_eq!(site, "mc/batch", "hit {h} died at the wrong site");
             let (_, text) = store.load("mc").expect("a durable checkpoint survived");
             let cp = McCheckpoint::deserialize(&text).expect("surviving checkpoint parses");
             assert_eq!(cp.completed(), (h * batch).min(30), "hit {h} checkpoint depth");
+            let mode = McMode::Checkpointed {
+                batch,
+                resume: Some(&cp),
+                on_batch: &mut |_| {},
+            };
             let resumed =
-                run_monte_carlo_checkpointed(&timer, &sampler, &mc, batch, Some(&cp), &mut |_| {})
-                    .expect("resume");
+                run_monte_carlo_with(&timer, &[&sampler; N_PARAMS], &mc, mode).expect("resume");
             assert_eq!(
                 mc_bits(&resumed),
                 want,
