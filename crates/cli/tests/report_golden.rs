@@ -146,6 +146,8 @@ fn kle_trace_nests_spans_under_command() {
         "kle/mesh/build",
         "kle/galerkin/assemble",
         "kle/galerkin/eigensolve",
+        "kle/galerkin/eigensolve/tridiagonalize",
+        "kle/galerkin/eigensolve/ql",
         "kle/truncate",
     ] {
         assert!(
@@ -160,7 +162,12 @@ fn kle_trace_nests_spans_under_command() {
     assert!(pos("kle") < pos("kle/mesh/build"));
     assert!(pos("kle/mesh/build") < pos("kle/galerkin/assemble"));
     assert!(pos("kle/galerkin/assemble") < pos("kle/galerkin/eigensolve"));
-    assert!(pos("kle/galerkin/eigensolve") < pos("kle/truncate"));
+    // The eigensolve's two phases, in the order they run.
+    assert!(pos("kle/galerkin/eigensolve") < pos("kle/galerkin/eigensolve/tridiagonalize"));
+    assert!(
+        pos("kle/galerkin/eigensolve/tridiagonalize") < pos("kle/galerkin/eigensolve/ql")
+    );
+    assert!(pos("kle/galerkin/eigensolve/ql") < pos("kle/truncate"));
 }
 
 #[test]

@@ -261,10 +261,8 @@ impl GalerkinKle {
                     None => DiagonalGep::solve(&k, mesh.areas())?,
                 };
                 let mut d = Matrix::zeros(n, m);
-                for j in 0..m {
-                    for i in 0..n {
-                        d[(i, j)] = gep.eigenvectors()[(i, j)];
-                    }
+                for i in 0..n {
+                    d.row_mut(i).copy_from_slice(&gep.eigenvectors().row(i)[..m]);
                 }
                 (gep.eigenvalues().to_vec(), d)
             }
@@ -795,9 +793,22 @@ mod tests {
             other => panic!("expected Cancelled, got {other:?}"),
         }
         // Tripped mid-pipeline: assembly's n rows consume n checkpoints,
-        // so a budget of n + 2 trips inside the eigensolve.
+        // so a budget of n + 2 trips inside the Householder reduction...
+        let n = mesh.len() as u64;
         let token = CancelToken::unlimited();
-        token.trip_after_checkpoints(mesh.len() as u64 + 2);
+        token.trip_after_checkpoints(n + 2);
+        match GalerkinKle::compute_with_token(&mesh, &kernel, KleOptions::default(), &token) {
+            Err(KleError::Cancelled(c)) => {
+                assert_eq!(c.stage, "eigen/tridiagonalize");
+                assert_eq!(c.completed, 0);
+            }
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+        // ...which polls once per step (n - 1) and once per 64-column
+        // panel of the transform, so a budget past those trips in the QL
+        // sweeps.
+        let token = CancelToken::unlimited();
+        token.trip_after_checkpoints(n + (n - 1) + n.div_ceil(64) + 2);
         match GalerkinKle::compute_with_token(&mesh, &kernel, KleOptions::default(), &token) {
             Err(KleError::Cancelled(c)) => assert_eq!(c.stage, "eigen/ql"),
             other => panic!("expected Cancelled, got {other:?}"),

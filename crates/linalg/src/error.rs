@@ -51,7 +51,7 @@ pub enum LinalgError {
     /// The operation was cancelled cooperatively (deadline or explicit
     /// cancel) before completing; carries the runtime's typed partial-result
     /// marker. `completed` counts converged eigenvalues (QL) or finished
-    /// sweeps (Jacobi).
+    /// sweeps (Jacobi), and is 0 in the Householder reduction.
     Cancelled(klest_runtime::Cancelled),
 }
 

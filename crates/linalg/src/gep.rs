@@ -91,21 +91,11 @@ impl DiagonalGep {
         }
         // A = Φ^{-1/2} K Φ^{-1/2}
         let a = Matrix::from_fn(n, n, |i, j| k[(i, j)] * inv_sqrt[i] * inv_sqrt[j]);
-        let eig = match token {
-            Some(token) => SymmetricEigen::new_with_token(&a, token)?,
-            None => SymmetricEigen::new(&a)?,
-        };
-        // d = Φ^{-1/2} u, column by column.
-        let mut vectors = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                vectors[(i, j)] = eig.eigenvectors()[(i, j)] * inv_sqrt[i];
-            }
-        }
-        Ok(DiagonalGep {
-            values: eig.eigenvalues().to_vec(),
-            vectors,
-        })
+        // d = Φ^{-1/2} u, applied as the solver sorts its eigenvectors
+        // into the buffer it worked in.
+        let (values, vectors) =
+            SymmetricEigen::new_scaled(&a, token, Some(&inv_sqrt))?.into_parts();
+        Ok(DiagonalGep { values, vectors })
     }
 
     /// Generalized eigenvalues, descending.
@@ -230,6 +220,42 @@ mod tests {
         ));
         assert!(DiagonalGep::solve(&Matrix::zeros(2, 3), &[1.0, 1.0]).is_err());
         assert!(DiagonalGep::solve(&Matrix::zeros(0, 0), &[]).is_err());
+    }
+
+    #[test]
+    fn bitwise_equal_to_reference_solve_and_back_transform() {
+        // The scale folded into the sort reproduces solving A = Φ^{-1/2}
+        // K Φ^{-1/2} by the EISPACK operation order, then scaling each
+        // eigenvector entry by Φ^{-1/2}, bit for bit.
+        let n = 90;
+        let mut seed = 0x2545f4914f6cdd1du64;
+        let mut rnd = || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let pts: Vec<(f64, f64)> = (0..n).map(|_| (rnd(), rnd())).collect();
+        let phi: Vec<f64> = (0..n).map(|_| (0.5 + rnd()) / n as f64).collect();
+        let k = Matrix::from_fn(n, n, |i, j| {
+            let (dx, dy) = (pts[i].0 - pts[j].0, pts[i].1 - pts[j].1);
+            (-3.0 * (dx * dx + dy * dy)).exp()
+        });
+        let gep = DiagonalGep::solve(&k, &phi).unwrap();
+        let inv_sqrt: Vec<f64> = phi.iter().map(|p| 1.0 / p.sqrt()).collect();
+        let a = Matrix::from_fn(n, n, |i, j| k[(i, j)] * inv_sqrt[i] * inv_sqrt[j]);
+        let (values, u) = crate::eigen::reference::eigen(&a);
+        for (x, y) in gep.eigenvalues().iter().zip(&values) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        for i in 0..n {
+            for j in 0..n {
+                let want = u[(i, j)] * inv_sqrt[i];
+                assert_eq!(
+                    gep.eigenvectors()[(i, j)].to_bits(),
+                    want.to_bits(),
+                    "({i}, {j})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -435,9 +435,8 @@ impl PartialEigen {
             // of the basis lives entirely in the last expansion
             // direction, so ‖A v_j − θ_j v_j‖ ≈ β · |s_{last,j}|.
             let head = eig.eigenvalues()[0].abs().max(f64::MIN_POSITIVE);
-            let converged = |j: usize| {
-                beta_last * eig.eigenvector(j)[s - 1].abs() <= RITZ_REL_TOL * head
-            };
+            let converged =
+                |j: usize| beta_last * eig.eigenvector(j)[s - 1].abs() <= RITZ_REL_TOL * head;
             let done = invariant || s == n || (0..avail).all(converged);
             if done {
                 let mut vectors = Matrix::zeros(n, avail);
@@ -779,11 +778,10 @@ mod tests {
         // real checkpoints to resume from.
         let a = random_spd(80, 5, 0.02);
         let mut checkpoints: Vec<LanczosState> = Vec::new();
-        let uninterrupted =
-            PartialEigen::lanczos_op_with_state(&a, 4, 500, None, &mut |s| {
-                checkpoints.push(s.clone())
-            })
-            .unwrap();
+        let uninterrupted = PartialEigen::lanczos_op_with_state(&a, 4, 500, None, &mut |s| {
+            checkpoints.push(s.clone())
+        })
+        .unwrap();
         assert!(
             checkpoints.len() >= 2,
             "expected several restart cycles, got {}",
@@ -823,7 +821,8 @@ mod tests {
         // And on a case that does restart, the wrapper still matches the
         // hook-bearing engine bit for bit.
         let a = random_spd(60, 42, 0.15);
-        let with_state = PartialEigen::lanczos_op_with_state(&a, 8, 500, None, &mut |_| {}).unwrap();
+        let with_state =
+            PartialEigen::lanczos_op_with_state(&a, 8, 500, None, &mut |_| {}).unwrap();
         let plain = PartialEigen::lanczos_op(&a, 8, 500).unwrap();
         assert_eq!(bits_of(&with_state), bits_of(&plain));
     }
@@ -862,9 +861,15 @@ mod tests {
         let state = first.unwrap();
         // Wrong dimension: the state came from an 80-dim operator.
         let b = random_spd(40, 9, 0.05);
-        let err = PartialEigen::lanczos_op_with_state(&b, 4, 500, Some(&state), &mut |_| {})
-            .unwrap_err();
-        assert!(matches!(err, LinalgError::DimensionMismatch { op: "lanczos_resume", .. }));
+        let err =
+            PartialEigen::lanczos_op_with_state(&b, 4, 500, Some(&state), &mut |_| {}).unwrap_err();
+        assert!(matches!(
+            err,
+            LinalgError::DimensionMismatch {
+                op: "lanczos_resume",
+                ..
+            }
+        ));
     }
 
     #[test]

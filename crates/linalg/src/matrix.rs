@@ -83,7 +83,11 @@ impl Matrix {
             }
             data.extend_from_slice(row);
         }
-        Ok(Matrix { rows: r, cols: c, data })
+        Ok(Matrix {
+            rows: r,
+            cols: c,
+            data,
+        })
     }
 
     /// Takes ownership of a row-major buffer.
@@ -215,6 +219,13 @@ impl Matrix {
         &self.data
     }
 
+    /// The underlying row-major buffer, mutably: for in-crate kernels
+    /// that need two rows at once.
+    #[inline]
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Consumes the matrix, returning the row-major buffer.
     pub fn into_vec(self) -> Vec<f64> {
         self.data
@@ -292,9 +303,7 @@ impl Matrix {
                 .zip(out.data.chunks_mut(chunk * rhs.cols))
             {
                 scope.spawn(move || {
-                    for (a_row, out_row) in
-                        block.chunks(cols).zip(out_block.chunks_mut(rhs.cols))
-                    {
+                    for (a_row, out_row) in block.chunks(cols).zip(out_block.chunks_mut(rhs.cols)) {
                         for (k, &aik) in a_row.iter().enumerate() {
                             if aik == 0.0 {
                                 continue;
@@ -416,7 +425,10 @@ impl fmt::Debug for Matrix {
         let show = self.rows.min(8);
         for i in 0..show {
             let cols = self.cols.min(8);
-            let row: Vec<String> = self.row(i)[..cols].iter().map(|v| format!("{v:>10.4}")).collect();
+            let row: Vec<String> = self.row(i)[..cols]
+                .iter()
+                .map(|v| format!("{v:>10.4}"))
+                .collect();
             let ellipsis = if self.cols > 8 { " ..." } else { "" };
             writeln!(f, "  [{}{}]", row.join(", "), ellipsis)?;
         }
