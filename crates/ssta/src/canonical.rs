@@ -34,8 +34,7 @@ pub fn erf(x: f64) -> f64 {
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);
     let y = 1.0
-        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736)
-            * t
+        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736) * t
             + 0.254_829_592)
             * t
             * (-x * x).exp();
@@ -122,7 +121,11 @@ impl CanonicalForm {
         if a <= 1e-7 * (sx + sy) + 1e-300 {
             // (Numerically) the same variable up to mean: the larger
             // mean wins.
-            return if x.mean >= y.mean { x.clone() } else { y.clone() };
+            return if x.mean >= y.mean {
+                x.clone()
+            } else {
+                y.clone()
+            };
         }
         let alpha = (x.mean - y.mean) / a;
         let phi_a = normal_cdf(alpha);
@@ -198,11 +201,7 @@ pub fn analyze_canonical(
 /// primary inputs. Shared by the flat canonical pass and the
 /// hierarchical per-block extraction ([`crate::hier`]) so both propagate
 /// identical deviations.
-pub(crate) fn xi_delay_sens(
-    timer: &Timer,
-    kle: &KleFieldSampler,
-    id: NodeId,
-) -> Option<Vec<f64>> {
+pub(crate) fn xi_delay_sens(timer: &Timer, kle: &KleFieldSampler, id: NodeId) -> Option<Vec<f64>> {
     let beta_v = timer.delay_sensitivity(id)?;
     let r = kle.rank();
     let loading = kle.loading_row(id.index());
@@ -413,8 +412,18 @@ mod tests {
         }
         let mean = s1 / nsamp as f64;
         let sigma = (s2 / nsamp as f64 - mean * mean).sqrt();
-        assert!((clark.mean - mean).abs() < 0.02, "{} vs {}", clark.mean, mean);
-        assert!((clark.sigma() - sigma).abs() < 0.03, "{} vs {}", clark.sigma(), sigma);
+        assert!(
+            (clark.mean - mean).abs() < 0.02,
+            "{} vs {}",
+            clark.mean,
+            mean
+        );
+        assert!(
+            (clark.sigma() - sigma).abs() < 0.03,
+            "{} vs {}",
+            clark.sigma(),
+            sigma
+        );
     }
 
     #[test]
@@ -424,12 +433,10 @@ mod tests {
         use klest_kernels::GaussianKernel;
         let kernel = GaussianKernel::new(2.0);
         let ctx = KleContext::coarse(&kernel).unwrap();
-        let a = CircuitSetup::prepare(
-            &generate("a", GeneratorConfig::combinational(40, 1)).unwrap(),
-        );
-        let b = CircuitSetup::prepare(
-            &generate("b", GeneratorConfig::combinational(41, 1)).unwrap(),
-        );
+        let a =
+            CircuitSetup::prepare(&generate("a", GeneratorConfig::combinational(40, 1)).unwrap());
+        let b =
+            CircuitSetup::prepare(&generate("b", GeneratorConfig::combinational(41, 1)).unwrap());
         let sampler = KleFieldSampler::new(&ctx.kle, &ctx.mesh, 10, a.locations()).unwrap();
         assert!(matches!(
             analyze_canonical(&b.timer, &sampler),

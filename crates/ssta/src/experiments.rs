@@ -7,7 +7,9 @@ use crate::{
     SummaryStats, N_PARAMS,
 };
 use klest_circuit::{Circuit, Placement, WireModel};
-use klest_core::pipeline::{run_frontend, ArtifactCache, ExecPolicy, FrontEndConfig, FrontEndError};
+use klest_core::pipeline::{
+    run_frontend, ArtifactCache, ExecPolicy, FrontEndConfig, FrontEndError,
+};
 use klest_core::{GalerkinKle, KleOptions, QuadratureRule, TruncationCriterion};
 use klest_geometry::Point2;
 use klest_kernels::CovarianceKernel;
@@ -171,7 +173,9 @@ impl KleContext {
     /// # Errors
     ///
     /// [`KleContextError`] from meshing or the eigensolve.
-    pub fn paper_default<K: CovarianceKernel + ?Sized>(kernel: &K) -> Result<Self, KleContextError> {
+    pub fn paper_default<K: CovarianceKernel + ?Sized>(
+        kernel: &K,
+    ) -> Result<Self, KleContextError> {
         Self::build(kernel, 0.001, 28.0, &TruncationCriterion::default())
     }
 
@@ -210,7 +214,12 @@ impl KleContext {
     ) -> Result<Self, KleContextError> {
         let config = FrontEndConfig::new(max_area_fraction, min_angle_degrees, *criterion)
             .with_supervised_ladder();
-        Self::build_with(kernel, &config, ExecPolicy::Supervised { token, budgets }, None)
+        Self::build_with(
+            kernel,
+            &config,
+            ExecPolicy::Supervised { token, budgets },
+            None,
+        )
     }
 
     /// Rebuilds with a different quadrature rule (ablation hook).
@@ -359,7 +368,9 @@ fn compare_methods_engine<K: CovarianceKernel + ?Sized>(
     };
     let kle_run = run_arm(sampler, &mut report)?;
     let kle_time = started.elapsed();
-    Ok(summarize(setup, ctx, mc_run, mc_time, kle_run, kle_time, report))
+    Ok(summarize(
+        setup, ctx, mc_run, mc_time, kle_run, kle_time, report,
+    ))
 }
 
 /// Runs Algorithm 1 and Algorithm 2 on a prepared circuit and compares.
@@ -501,7 +512,9 @@ fn summarize(
         rank: ctx.rank,
         e_mu_pct: kle.mean_error_pct(&mc),
         e_sigma_pct: kle.std_error_pct(&mc),
-        sigma_err_outputs_pct: kle_run.output_stats().avg_sigma_error_pct(mc_run.output_stats()),
+        sigma_err_outputs_pct: kle_run
+            .output_stats()
+            .avg_sigma_error_pct(mc_run.output_stats()),
         mc,
         kle,
         mc_time,
@@ -533,7 +546,11 @@ mod tests {
         // truncation (paper: e_σ < 5.7% at 100K samples; we run 800).
         assert!(cmp.e_mu_pct < 1.0, "e_mu = {}%", cmp.e_mu_pct);
         assert!(cmp.e_sigma_pct < 20.0, "e_sigma = {}%", cmp.e_sigma_pct);
-        assert!(cmp.sigma_err_outputs_pct < 25.0, "fig6 metric = {}%", cmp.sigma_err_outputs_pct);
+        assert!(
+            cmp.sigma_err_outputs_pct < 25.0,
+            "fig6 metric = {}%",
+            cmp.sigma_err_outputs_pct
+        );
         assert!(cmp.speedup > 0.0);
         assert_eq!(cmp.rank, ctx.rank);
         assert!(cmp.mc.mean > 0.0 && cmp.kle.mean > 0.0);
@@ -634,10 +651,10 @@ mod tests {
         ) {
             Ok(ctx) => {
                 assert!(
-                    ctx.degradation.events().iter().any(|e| matches!(
-                        e,
-                        DegradationEvent::MeshCoarsened { .. }
-                    )),
+                    ctx.degradation
+                        .events()
+                        .iter()
+                        .any(|e| matches!(e, DegradationEvent::MeshCoarsened { .. })),
                     "ladder must record the coarsening: {}",
                     ctx.degradation
                 );
@@ -693,16 +710,9 @@ mod tests {
         budgets.set("mc", Duration::from_millis(500));
         let plan = FaultPlan::new().hang_for(Stage::Mc, 600_000);
         let cfg = McConfig::new(150, 3).with_threads(2);
-        let cmp = compare_methods_supervised(
-            &setup,
-            &kernel,
-            &ctx,
-            &cfg,
-            &token,
-            &budgets,
-            Some(&plan),
-        )
-        .unwrap();
+        let cmp =
+            compare_methods_supervised(&setup, &kernel, &ctx, &cfg, &token, &budgets, Some(&plan))
+                .unwrap();
         let mc_salvage = cmp.mc_salvage.as_ref().unwrap();
         // The hung shard was broken by the deadline: the reference arm is
         // truncated but salvaged the sibling shard's samples.
@@ -714,7 +724,10 @@ mod tests {
         assert_eq!(kle_salvage.completed, 150, "{kle_salvage:?}");
         assert!(cmp.degradation.events().iter().any(|e| matches!(
             e,
-            DegradationEvent::Cancelled { stage: "mc/sample", .. }
+            DegradationEvent::Cancelled {
+                stage: "mc/sample",
+                ..
+            }
         )));
     }
 

@@ -286,9 +286,7 @@ impl FaultPlan {
             if armed {
                 // Deliberate injected panic: panic_any keeps the library
                 // free of the `panic!` macro the no-panic gate forbids.
-                std::panic::panic_any(format!(
-                    "injected fault: stage {stage:?}, shard {shard}"
-                ));
+                std::panic::panic_any(format!("injected fault: stage {stage:?}, shard {shard}"));
             }
         }
     }

@@ -259,15 +259,7 @@ pub fn extract_blocks(
         });
     }
     let nominal = timer.analyze(&vec![ParamVector::ZERO; n]);
-    extract_blocks_inner(
-        timer,
-        kle,
-        partition,
-        params,
-        nominal.slews(),
-        cache,
-        token,
-    )
+    extract_blocks_inner(timer, kle, partition, params, nominal.slews(), cache, token)
 }
 
 fn extract_blocks_inner(
@@ -289,8 +281,7 @@ fn extract_blocks_inner(
     let mut keys: Vec<Option<ArtifactKey>> = vec![None; nblocks];
     if let Some((cache, spectrum)) = cache {
         for b in 0..nblocks {
-            let key =
-                ArtifactKey::block(region_hash(partition, b, params, kle.rank()), spectrum);
+            let key = ArtifactKey::block(region_hash(partition, b, params, kle.rank()), spectrum);
             if let Some(hit) = cache.lookup_block(&key) {
                 models[b] = Some(hit);
                 stats.cache_hits += 1;
@@ -301,14 +292,17 @@ fn extract_blocks_inner(
     let missing: Vec<usize> = (0..nblocks).filter(|&b| models[b].is_none()).collect();
     if !missing.is_empty() {
         let run = Supervisor::new(token.clone()).run(missing.len(), |shard, tok| {
-            extract_block(timer, kle, partition, missing[shard], params, nominal_slews, tok)
+            extract_block(
+                timer,
+                kle,
+                partition,
+                missing[shard],
+                params,
+                nominal_slews,
+                tok,
+            )
         });
-        for (shard, (result, status)) in run
-            .results
-            .into_iter()
-            .zip(run.status)
-            .enumerate()
-        {
+        for (shard, (result, status)) in run.results.into_iter().zip(run.status).enumerate() {
             let b = missing[shard];
             let model = match result {
                 Some(Ok(model)) => model,
@@ -353,10 +347,7 @@ fn extract_blocks_inner(
 /// [`SstaError::InvalidConfig`] if the models disagree on dimension or
 /// reference an origin/output no model provides (mixed-partition
 /// models).
-pub fn compose(
-    models: &[Arc<BlockTimingModel>],
-    timer: &Timer,
-) -> Result<HierReport, SstaError> {
+pub fn compose(models: &[Arc<BlockTimingModel>], timer: &Timer) -> Result<HierReport, SstaError> {
     let _span = klest_obs::span("hier/compose");
     let dim = models.first().map_or(0, |m| m.dim);
     if models.iter().any(|m| m.dim != dim) {
@@ -382,7 +373,10 @@ pub fn compose(
                     let Some(base) = resolved.get(&o) else {
                         return Err(SstaError::InvalidConfig {
                             name: "models.origin",
-                            value: format!("term at node {} references unresolved node {o}", arc.node),
+                            value: format!(
+                                "term at node {} references unresolved node {o}",
+                                arc.node
+                            ),
                         });
                     };
                     let mut v = base.clone();
@@ -468,12 +462,11 @@ impl<'a> HierEngine<'a> {
         cache: Option<(&'a ArtifactCache, ArtifactKey)>,
         token: &CancelToken,
     ) -> Result<Self, SstaError> {
-        let scalar = IncrementalTimer::new(timer, params.clone()).map_err(|e| {
-            SstaError::InvalidConfig {
+        let scalar =
+            IncrementalTimer::new(timer, params.clone()).map_err(|e| SstaError::InvalidConfig {
                 name: "params.len",
                 value: e.to_string(),
-            }
-        })?;
+            })?;
         let n = timer.node_count();
         let nominal = timer.analyze(&vec![ParamVector::ZERO; n]);
         let nominal_slews = nominal.slews().to_vec();
@@ -623,7 +616,8 @@ mod tests {
     #[test]
     fn single_block_engine_is_bitwise_flat() {
         let (setup, ctx, circuit) = setup(120, 7);
-        let sampler = KleFieldSampler::new(&ctx.kle, &ctx.mesh, ctx.rank, setup.locations()).unwrap();
+        let sampler =
+            KleFieldSampler::new(&ctx.kle, &ctx.mesh, ctx.rank, setup.locations()).unwrap();
         let partition = Partition::build(&circuit, 1);
         let flat = analyze_canonical(&setup.timer, &sampler).unwrap();
         let token = CancelToken::unlimited();
@@ -649,9 +643,13 @@ mod tests {
     #[test]
     fn multi_block_engine_tracks_flat_closely() {
         let (setup, ctx, circuit) = setup(300, 11);
-        let sampler = KleFieldSampler::new(&ctx.kle, &ctx.mesh, ctx.rank, setup.locations()).unwrap();
+        let sampler =
+            KleFieldSampler::new(&ctx.kle, &ctx.mesh, ctx.rank, setup.locations()).unwrap();
         let partition = Partition::build(&circuit, 6);
-        assert!(partition.cut_node_count() > 0, "partition must cut something");
+        assert!(
+            partition.cut_node_count() > 0,
+            "partition must cut something"
+        );
         let flat = analyze_canonical(&setup.timer, &sampler).unwrap();
         let token = CancelToken::unlimited();
         let engine = HierEngine::new(
@@ -681,7 +679,8 @@ mod tests {
     #[test]
     fn edit_rekeys_exactly_one_block() {
         let (setup, ctx, circuit) = setup(200, 3);
-        let sampler = KleFieldSampler::new(&ctx.kle, &ctx.mesh, ctx.rank, setup.locations()).unwrap();
+        let sampler =
+            KleFieldSampler::new(&ctx.kle, &ctx.mesh, ctx.rank, setup.locations()).unwrap();
         let partition = Partition::build(&circuit, 4);
         let cache = ArtifactCache::new();
         let spectrum = test_spectrum_key();
@@ -725,7 +724,10 @@ mod tests {
         let flat = analyze_canonical_with(&setup.timer, &sampler, &params).unwrap();
         let (fw, hw) = (flat.worst(), engine.worst());
         assert!((fw.mean - hw.mean).abs() <= 0.02 * fw.mean.abs().max(1e-9));
-        assert_eq!(engine.scalar_worst(), setup.timer.analyze(&params).worst_delay());
+        assert_eq!(
+            engine.scalar_worst(),
+            setup.timer.analyze(&params).worst_delay()
+        );
         // Editing back to nominal re-uses the original block artifact.
         let before = cache.snapshot();
         engine.edit_gate(victim, ParamVector::ZERO, &token).unwrap();
@@ -737,7 +739,8 @@ mod tests {
     #[test]
     fn out_of_range_edit_is_typed_and_state_untouched() {
         let (setup, ctx, circuit) = setup(80, 5);
-        let sampler = KleFieldSampler::new(&ctx.kle, &ctx.mesh, ctx.rank, setup.locations()).unwrap();
+        let sampler =
+            KleFieldSampler::new(&ctx.kle, &ctx.mesh, ctx.rank, setup.locations()).unwrap();
         let partition = Partition::build(&circuit, 3);
         let token = CancelToken::unlimited();
         let mut engine = HierEngine::new(
@@ -761,7 +764,8 @@ mod tests {
     #[test]
     fn cancelled_extraction_surfaces_typed() {
         let (setup, ctx, circuit) = setup(100, 2);
-        let sampler = KleFieldSampler::new(&ctx.kle, &ctx.mesh, ctx.rank, setup.locations()).unwrap();
+        let sampler =
+            KleFieldSampler::new(&ctx.kle, &ctx.mesh, ctx.rank, setup.locations()).unwrap();
         let partition = Partition::build(&circuit, 4);
         let token = CancelToken::unlimited();
         token.cancel();
@@ -780,7 +784,8 @@ mod tests {
     #[test]
     fn length_mismatches_are_typed() {
         let (setup, ctx, circuit) = setup(60, 1);
-        let sampler = KleFieldSampler::new(&ctx.kle, &ctx.mesh, ctx.rank, setup.locations()).unwrap();
+        let sampler =
+            KleFieldSampler::new(&ctx.kle, &ctx.mesh, ctx.rank, setup.locations()).unwrap();
         let partition = Partition::build(&circuit, 2);
         let token = CancelToken::unlimited();
         let err = HierEngine::new(

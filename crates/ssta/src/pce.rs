@@ -15,8 +15,8 @@
 
 use crate::{GateFieldSampler, KleFieldSampler, NormalSource, SstaError};
 use klest_linalg::{Cholesky, Matrix};
-use klest_sta::{ParamVector, Timer};
 use klest_rng::{SeedableRng, StdRng};
+use klest_sta::{ParamVector, Timer};
 
 /// A fitted diagonal-quadratic Hermite surrogate of the worst delay.
 #[derive(Debug, Clone)]
@@ -192,14 +192,18 @@ mod tests {
     fn surrogate_matches_monte_carlo_moments() {
         let (setup, ctx) = setup();
         let rank = 8.min(ctx.rank);
-        let sampler =
-            KleFieldSampler::new(&ctx.kle, &ctx.mesh, rank, setup.locations()).unwrap();
+        let sampler = KleFieldSampler::new(&ctx.kle, &ctx.mesh, rank, setup.locations()).unwrap();
         let pce = fit_pce(&setup.timer, &sampler, 2000, 3).unwrap();
         let mc = run_monte_carlo(&setup.timer, &sampler, &McConfig::new(6000, 11)).unwrap();
         let stats = mc.worst_delay_stats();
         let mean_err = 100.0 * (pce.mean() - stats.mean).abs() / stats.mean;
         let sigma_err = 100.0 * (pce.sigma() - stats.std_dev).abs() / stats.std_dev;
-        assert!(mean_err < 0.5, "PCE mean {} vs MC {} ({mean_err:.2}%)", pce.mean(), stats.mean);
+        assert!(
+            mean_err < 0.5,
+            "PCE mean {} vs MC {} ({mean_err:.2}%)",
+            pce.mean(),
+            stats.mean
+        );
         assert!(
             sigma_err < 15.0,
             "PCE sigma {} vs MC {} ({sigma_err:.1}%)",
@@ -207,15 +211,17 @@ mod tests {
             stats.std_dev
         );
         assert_eq!(pce.dim(), 4 * rank);
-        assert!(pce.residual_rms() < stats.std_dev, "surrogate explains most variance");
+        assert!(
+            pce.residual_rms() < stats.std_dev,
+            "surrogate explains most variance"
+        );
     }
 
     #[test]
     fn surrogate_eval_tracks_simulation() {
         let (setup, ctx) = setup();
         let rank = 6.min(ctx.rank);
-        let sampler =
-            KleFieldSampler::new(&ctx.kle, &ctx.mesh, rank, setup.locations()).unwrap();
+        let sampler = KleFieldSampler::new(&ctx.kle, &ctx.mesh, rank, setup.locations()).unwrap();
         let pce = fit_pce(&setup.timer, &sampler, 1500, 5).unwrap();
         // Evaluate surrogate vs true timer at fresh ξ points.
         let dim = 4 * rank;
@@ -252,11 +258,13 @@ mod tests {
     fn rejects_underdetermined_fits() {
         let (setup, ctx) = setup();
         let sampler =
-            KleFieldSampler::new(&ctx.kle, &ctx.mesh, 10.min(ctx.rank), setup.locations())
-                .unwrap();
+            KleFieldSampler::new(&ctx.kle, &ctx.mesh, 10.min(ctx.rank), setup.locations()).unwrap();
         assert!(matches!(
             fit_pce(&setup.timer, &sampler, 10, 1),
-            Err(SstaError::InvalidConfig { name: "samples", .. })
+            Err(SstaError::InvalidConfig {
+                name: "samples",
+                ..
+            })
         ));
     }
 }

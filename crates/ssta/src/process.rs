@@ -106,12 +106,8 @@ impl<'a> ProcessModel<'a> {
                 ParamSource::Kle(ctx) => {
                     let key = *ctx as *const KleContext;
                     if !kle_cache.iter().any(|(k, _)| *k == key) {
-                        let sampler = KleFieldSampler::new(
-                            &ctx.kle,
-                            &ctx.mesh,
-                            ctx.rank,
-                            setup.locations(),
-                        )?;
+                        let sampler =
+                            KleFieldSampler::new(&ctx.kle, &ctx.mesh, ctx.rank, setup.locations())?;
                         kle_cache.push((key, sampler));
                     }
                 }

@@ -74,7 +74,10 @@ impl SummaryStats {
 ///
 /// Panics if `q` is outside `[0, 1]`.
 pub fn quantile(samples: &[f64], q: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1], got {q}");
+    assert!(
+        (0.0..=1.0).contains(&q),
+        "quantile must be in [0, 1], got {q}"
+    );
     if samples.is_empty() {
         return 0.0;
     }
@@ -273,9 +276,7 @@ mod tests {
         assert!((s.mean_ci_halfwidth(1.96) - 0.392).abs() < 1e-12);
         let quarter = SummaryStats { count: 25, ..s };
         // A quarter of the samples → twice the half-width.
-        assert!(
-            (quarter.mean_ci_halfwidth(1.96) - 2.0 * s.mean_ci_halfwidth(1.96)).abs() < 1e-12
-        );
+        assert!((quarter.mean_ci_halfwidth(1.96) - 2.0 * s.mean_ci_halfwidth(1.96)).abs() < 1e-12);
         assert_eq!(SummaryStats::of(&[1.0]).mean_ci_halfwidth(1.96), 0.0);
     }
 
@@ -368,8 +369,7 @@ mod tests {
             prefix.push(r);
         }
         let (count, mean, m2) = prefix.raw_parts();
-        let mut resumed =
-            OutputStats::from_raw_parts(count, mean.to_vec(), m2.to_vec()).unwrap();
+        let mut resumed = OutputStats::from_raw_parts(count, mean.to_vec(), m2.to_vec()).unwrap();
         for r in &rows[17..] {
             whole.push(r);
             resumed.push(r);
@@ -389,7 +389,10 @@ mod tests {
             approx.push(&[x * 1.1, 10.0 * x]); // 10% inflated sigma on output 0
         }
         let e = approx.avg_sigma_error_pct(&reference);
-        assert!((e - 5.0).abs() < 0.2, "average of 10% and 0% is ~5%, got {e}");
+        assert!(
+            (e - 5.0).abs() < 0.2,
+            "average of 10% and 0% is ~5%, got {e}"
+        );
         assert!(approx.avg_mean_error_pct(&reference) > 0.0);
     }
 }

@@ -77,10 +77,7 @@ pub fn validate_sampler<S: GateFieldSampler, K: CovarianceKernel + ?Sized>(
     let mut normals = NormalSource::new(StdRng::seed_from_u64(seed));
     let mut field = vec![0.0; n];
     // Accumulate first and second moments for every probed node.
-    let mut probed: Vec<usize> = index_pairs
-        .iter()
-        .flat_map(|&(i, j)| [i, j])
-        .collect();
+    let mut probed: Vec<usize> = index_pairs.iter().flat_map(|&(i, j)| [i, j]).collect();
     probed.sort_unstable();
     probed.dedup();
     let mut sums = vec![0.0; probed.len()];
@@ -158,7 +155,11 @@ mod tests {
             "max deviation {}",
             report.max_deviation
         );
-        assert!((report.mean_variance - 1.0).abs() < 0.06, "{}", report.mean_variance);
+        assert!(
+            (report.mean_variance - 1.0).abs() < 0.06,
+            "{}",
+            report.mean_variance
+        );
         for p in &report.pairs {
             assert!(p.deviation() <= report.max_deviation);
         }

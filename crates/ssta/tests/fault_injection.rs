@@ -143,7 +143,7 @@ fn offdie_gates_strict_error_tolerant_clamp() {
     let (mesh, kle) = kle_setup();
     let rank = kle.retained().min(8);
     let locs = offdie_locations(6); // odd indices off-die → 3 clamps
-    // Strict path: first off-die gate reported by index.
+                                    // Strict path: first off-die gate reported by index.
     assert!(matches!(
         KleFieldSampler::new(&kle, &mesh, rank, &locs),
         Err(SstaError::Kle(KleError::PointOutsideMesh { index: 1 }))
@@ -231,10 +231,11 @@ fn unmet_budget_degrades_kle_arm_to_cholesky() {
     let setup = CircuitSetup::prepare(&circuit);
     let cmp = compare_methods_with_report(&setup, &kernel, &ctx, &McConfig::new(200, 9))
         .expect("comparison survives the degraded path");
-    assert!(cmp.degradation.events().iter().any(|e| matches!(
-        e,
-        DegradationEvent::TruncationBudgetUnmet { .. }
-    )));
+    assert!(cmp
+        .degradation
+        .events()
+        .iter()
+        .any(|e| matches!(e, DegradationEvent::TruncationBudgetUnmet { .. })));
     assert!(cmp.degradation.events().iter().any(|e| matches!(
         e,
         DegradationEvent::KleDegradedToCholesky { reason } if reason.contains("budget")
@@ -336,7 +337,10 @@ fn injected_hang_is_broken_by_deadline_and_samples_salvaged() {
     assert!(salvage.ci_widening > 1.0);
     assert!(report.events().iter().any(|e| matches!(
         e,
-        DegradationEvent::Cancelled { stage: "mc/sample", .. }
+        DegradationEvent::Cancelled {
+            stage: "mc/sample",
+            ..
+        }
     )));
     assert!(report
         .events()
@@ -382,14 +386,23 @@ fn acceptance_panicking_shard_under_deadline_salvages_and_reports() {
     .expect("supervised comparison survives panic + hang under deadline");
     let mc_salvage = cmp.mc_salvage.as_ref().expect("salvage stats");
     assert!(mc_salvage.completed > 0, "samples must be salvaged");
-    assert!(mc_salvage.shards_retried >= 1, "the panicking shard retries");
+    assert!(
+        mc_salvage.shards_retried >= 1,
+        "the panicking shard retries"
+    );
     assert!(cmp.degradation.events().iter().any(|e| matches!(
         e,
-        DegradationEvent::WorkerFault { stage: "mc/sample", .. }
+        DegradationEvent::WorkerFault {
+            stage: "mc/sample",
+            ..
+        }
     )));
     assert!(cmp.degradation.events().iter().any(|e| matches!(
         e,
-        DegradationEvent::Cancelled { stage: "mc/sample", .. }
+        DegradationEvent::Cancelled {
+            stage: "mc/sample",
+            ..
+        }
     )));
 }
 
@@ -405,7 +418,11 @@ fn healthy_inputs_record_no_degradation() {
     assert!(tolerant.cholesky().is_some());
 
     let (mesh, kle) = kle_setup();
-    let inside: Vec<Point2> = locs.iter().copied().filter(|p| Rect::unit_die().contains(*p)).collect();
+    let inside: Vec<Point2> = locs
+        .iter()
+        .copied()
+        .filter(|p| Rect::unit_die().contains(*p))
+        .collect();
     let mut report = DegradationReport::new();
     let _ = KleFieldSampler::new_with_report(&kle, &mesh, 5, &inside, &mut report).unwrap();
     assert!(report.is_clean(), "unexpected events: {report}");

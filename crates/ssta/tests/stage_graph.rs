@@ -53,16 +53,9 @@ fn three_entry_points_agree_bitwise() {
     let strict = compare_methods(&s, &kernel, &ctx, &cfg).expect("strict");
     let tolerant = compare_methods_with_report(&s, &kernel, &ctx, &cfg).expect("tolerant");
     let token = CancelToken::unlimited();
-    let supervised = compare_methods_supervised(
-        &s,
-        &kernel,
-        &ctx,
-        &cfg,
-        &token,
-        &StageBudgets::none(),
-        None,
-    )
-    .expect("supervised");
+    let supervised =
+        compare_methods_supervised(&s, &kernel, &ctx, &cfg, &token, &StageBudgets::none(), None)
+            .expect("supervised");
     assert_stats_identical(&strict, &tolerant);
     assert_stats_identical(&strict, &supervised);
     assert!(strict.mc_salvage.is_none() && tolerant.mc_salvage.is_none());
@@ -90,8 +83,17 @@ fn cached_comparison_equals_uncached_exactly() {
     assert!(Arc::ptr_eq(&cold.kle, &warm.kle));
     assert!(Arc::ptr_eq(&cold.mesh, &warm.mesh));
     let snap = cache.snapshot();
-    assert!(snap.hits() >= 2, "mesh + spectrum hits, got {}", snap.hits());
-    for (a, b) in uncached.kle.eigenvalues().iter().zip(cold.kle.eigenvalues()) {
+    assert!(
+        snap.hits() >= 2,
+        "mesh + spectrum hits, got {}",
+        snap.hits()
+    );
+    for (a, b) in uncached
+        .kle
+        .eigenvalues()
+        .iter()
+        .zip(cold.kle.eigenvalues())
+    {
         assert_eq!(a.to_bits(), b.to_bits());
     }
     let base = compare_methods(&s, &kernel, &uncached, &cfg).expect("base");

@@ -105,9 +105,7 @@ mod tests {
         let t = timer();
         let narrow = analyze_corners(&t, &Corner::standard_set(1.0));
         let wide = analyze_corners(&t, &Corner::standard_set(3.0));
-        let spread = |r: &[CornerResult]| {
-            r[2].report.worst_delay() - r[0].report.worst_delay()
-        };
+        let spread = |r: &[CornerResult]| r[2].report.worst_delay() - r[0].report.worst_delay();
         assert!(spread(&wide) > spread(&narrow));
     }
 

@@ -40,7 +40,11 @@ impl StaError {
 impl fmt::Display for StaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StaError::InvalidArgument { key, value, message } => {
+            StaError::InvalidArgument {
+                key,
+                value,
+                message,
+            } => {
                 write!(f, "invalid argument {key}={value}: {message}")
             }
         }

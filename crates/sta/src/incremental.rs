@@ -119,7 +119,9 @@ impl<'a> IncrementalTimer<'a> {
                 continue;
             }
             recomputed += 1;
-            let (arr, slew) = self.timer.evaluate_node(id, &self.params, &self.arrivals, &self.slews);
+            let (arr, slew) =
+                self.timer
+                    .evaluate_node(id, &self.params, &self.arrivals, &self.slews);
             if arr == self.arrivals[i] && slew == self.slews[i] {
                 // Landed exactly on the old state: fan-out reads only
                 // arrivals/slews, so propagation stops here.
@@ -179,11 +181,12 @@ mod tests {
     #[test]
     fn late_change_recomputes_few_nodes() {
         let (c, timer) = setup(2000, 9);
-        let mut inc =
-            IncrementalTimer::new(&timer, vec![ParamVector::ZERO; c.node_count()]).expect("sized params");
+        let mut inc = IncrementalTimer::new(&timer, vec![ParamVector::ZERO; c.node_count()])
+            .expect("sized params");
         // Pick a node near the outputs: its cone is small.
         let victim = NodeId((c.node_count() - 10) as u32);
-        inc.update(&[(victim, ParamVector::new([2.0, -1.0, 1.5, 0.5]))]).expect("in-range nodes");
+        inc.update(&[(victim, ParamVector::new([2.0, -1.0, 1.5, 0.5]))])
+            .expect("in-range nodes");
         assert!(
             inc.last_recomputed() < c.node_count() / 10,
             "recomputed {} of {} for a late change",
@@ -200,13 +203,14 @@ mod tests {
     #[test]
     fn noop_update_recomputes_minimal_cone() {
         let (c, timer) = setup(500, 5);
-        let mut inc =
-            IncrementalTimer::new(&timer, vec![ParamVector::ZERO; c.node_count()]).expect("sized params");
+        let mut inc = IncrementalTimer::new(&timer, vec![ParamVector::ZERO; c.node_count()])
+            .expect("sized params");
         let before = inc.arrivals().to_vec();
         let victim = NodeId((c.input_count() + 1) as u32);
         // "Change" to the same value: the node recomputes to identical
         // numbers and propagation stops immediately.
-        inc.update(&[(victim, ParamVector::ZERO)]).expect("in-range nodes");
+        inc.update(&[(victim, ParamVector::ZERO)])
+            .expect("in-range nodes");
         assert_eq!(inc.arrivals(), &before[..]);
         assert!(
             inc.last_recomputed() <= 1 + timer.fanins_of(victim).len() + 8,
@@ -233,28 +237,36 @@ mod tests {
     #[test]
     fn out_of_range_node_is_a_typed_error_and_state_is_untouched() {
         let (c, timer) = setup(64, 2);
-        let mut inc =
-            IncrementalTimer::new(&timer, vec![ParamVector::ZERO; c.node_count()]).expect("sized params");
+        let mut inc = IncrementalTimer::new(&timer, vec![ParamVector::ZERO; c.node_count()])
+            .expect("sized params");
         let before = inc.arrivals().to_vec();
         let bogus = NodeId(c.node_count() as u32);
         let err = inc
             .update(&[(bogus, ParamVector::new([1.0, 1.0, 1.0, 1.0]))])
             .expect_err("out-of-range node must be rejected");
         match err {
-            StaError::InvalidArgument { key, value, message } => {
+            StaError::InvalidArgument {
+                key,
+                value,
+                message,
+            } => {
                 assert_eq!(key, "node");
                 assert_eq!(value, c.node_count().to_string());
                 assert!(message.contains("out of range"), "{message}");
             }
         }
-        assert_eq!(inc.arrivals(), &before[..], "failed update must not mutate state");
+        assert_eq!(
+            inc.arrivals(),
+            &before[..],
+            "failed update must not mutate state"
+        );
     }
 
     #[test]
     fn sequence_of_updates_stays_consistent() {
         let (c, timer) = setup(250, 11);
-        let mut inc =
-            IncrementalTimer::new(&timer, vec![ParamVector::ZERO; c.node_count()]).expect("sized params");
+        let mut inc = IncrementalTimer::new(&timer, vec![ParamVector::ZERO; c.node_count()])
+            .expect("sized params");
         let mut params = vec![ParamVector::ZERO; c.node_count()];
         let mut lcg = 12345u64;
         for step in 0..10 {
@@ -267,7 +279,8 @@ mod tests {
                 -0.25,
             ]);
             params[idx] = p;
-            inc.update(&[(NodeId(idx as u32), p)]).expect("in-range nodes");
+            inc.update(&[(NodeId(idx as u32), p)])
+                .expect("in-range nodes");
         }
         let full = timer.analyze(&params);
         assert_eq!(inc.arrivals(), full.arrivals());

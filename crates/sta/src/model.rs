@@ -138,7 +138,10 @@ mod tests {
             ..model()
         };
         let corner = ParamVector::new([-30.0, 30.0, -30.0, -30.0]);
-        assert!(m.projection(&corner) < -10.0, "raw value is deeply negative");
+        assert!(
+            m.projection(&corner) < -10.0,
+            "raw value is deeply negative"
+        );
         let v = m.eval(0.0, 0.0, &corner);
         assert!((v - 0.1).abs() < 1e-12, "clamped at 1% of nominal, got {v}");
     }

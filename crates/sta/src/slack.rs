@@ -153,7 +153,11 @@ mod tests {
         let (timer, report, params) = analyze(&c);
         let slacks = SlackReport::new(&timer, &report, &params, report.worst_delay());
         // Required time == worst delay: worst slack is exactly zero.
-        assert!(slacks.worst_slack().abs() < 1e-9, "worst slack {}", slacks.worst_slack());
+        assert!(
+            slacks.worst_slack().abs() < 1e-9,
+            "worst slack {}",
+            slacks.worst_slack()
+        );
         // Every node on the critical path has ~zero slack.
         for &v in slacks.critical_path() {
             assert!(
