@@ -172,6 +172,27 @@ mod tests {
     }
 
     #[test]
+    fn stats_probe_counts_refused_input() {
+        let server = Server::new(fast_config());
+        let stats = |server: &Server| {
+            let mut out: Vec<u8> = Vec::new();
+            server.serve(Cursor::new("{\"op\":\"stats\",\"id\":\"s\"}\n"), &mut out);
+            let text = String::from_utf8(out).expect("responses are UTF-8");
+            let line = text.lines().find(|l| l.contains("\"id\":\"s\""));
+            line.expect("stats line").to_string()
+        };
+        let edit = r#"{"id":"x","mode":"hier","gates":3000,"edit_gate":3500}"#;
+        server.serve(Cursor::new(format!("{edit}\n")), Vec::new());
+        let probe = stats(&server);
+        assert!(probe.contains("\"bad_requests\":1,\"rejected\":1"), "{probe}");
+        assert!(probe.contains("\"faults\":0"), "{probe}");
+        // A malformed line counts as a bad request but not a rejection.
+        server.serve(Cursor::new("not json\n"), Vec::new());
+        let probe = stats(&server);
+        assert!(probe.contains("\"bad_requests\":2,\"rejected\":1"), "{probe}");
+    }
+
+    #[test]
     fn injected_panic_is_isolated_as_a_typed_fault() {
         let input = format!(
             "{{\"id\":\"boom\",\"inject_panic\":true,{TINY}}}\n{{\"id\":\"fine\",{TINY}}}\n"

@@ -413,6 +413,12 @@ pub struct StatsReport {
     pub shed_deadline: u64,
     /// Queries shed because the daemon was draining (lifetime).
     pub shed_draining: u64,
+    /// Lines refused as bad requests, including
+    /// [`rejected`](Self::rejected) (lifetime).
+    pub bad_requests: u64,
+    /// Well-formed queries refused at execution as client errors, such
+    /// as an out-of-range edit (lifetime).
+    pub rejected: u64,
     /// Windowed service latency of cache-warm queries, ms.
     pub latency_warm: LatencyStats,
     /// Windowed service latency of cache-cold queries, ms.
@@ -582,6 +588,8 @@ pub fn stats_response(id: Option<&str>, s: &StatsReport) -> String {
                 ("shed_overload".to_string(), Json::Num(s.shed_overload as f64)),
                 ("shed_deadline".to_string(), Json::Num(s.shed_deadline as f64)),
                 ("shed_draining".to_string(), Json::Num(s.shed_draining as f64)),
+                ("bad_requests".to_string(), Json::Num(s.bad_requests as f64)),
+                ("rejected".to_string(), Json::Num(s.rejected as f64)),
             ]),
         ),
         (
@@ -1303,6 +1311,8 @@ mod tests {
             shed_overload: 3,
             shed_deadline: 1,
             shed_draining: 0,
+            bad_requests: 5,
+            rejected: 2,
             latency_warm: LatencyStats::from_hist(&warm),
             latency_cold: LatencyStats::from_hist(&HistState::with_bounds(&[10.0])),
             queue_wait: LatencyStats::from_hist(&warm),
@@ -1326,6 +1336,7 @@ mod tests {
             r#""queue":{"depth":2,"capacity":64}"#,
             r#""shed_overload":3"#,
             r#""faults":1"#,
+            r#""shed_draining":0,"bad_requests":5,"rejected":2}"#,
             r#""warm":{"count":2,"p50":"#,
             r#""cold":{"count":0,"p50":null"#,
             r#""hit_ratio":0.8"#,

@@ -201,6 +201,8 @@ struct Counts {
     shed_draining: AtomicU64,
     cancelled: AtomicU64,
     faults: AtomicU64,
+    /// Lines refused before admission (unparseable or oversized).
+    bad_requests: AtomicU64,
     rejected: AtomicU64,
 }
 
@@ -233,6 +235,11 @@ struct ServerStats {
     shed_overload: AtomicU64,
     shed_deadline: AtomicU64,
     shed_draining: AtomicU64,
+    /// Lines refused before admission; the stats probe adds
+    /// [`rejected`](Self::rejected), as a connection summary does.
+    bad_requests: AtomicU64,
+    /// Admitted queries refused at execution as client errors.
+    rejected: AtomicU64,
     /// Windowed service latency of cache-warm queries, ms.
     latency_warm: SlidingWindow,
     /// Windowed service latency of cache-cold queries, ms.
@@ -265,6 +272,8 @@ impl ServerStats {
             shed_overload: AtomicU64::new(0),
             shed_deadline: AtomicU64::new(0),
             shed_draining: AtomicU64::new(0),
+            bad_requests: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
             latency_warm: SlidingWindow::new(WINDOW_SLOTS, WINDOW_SLOT_MS, &LATENCY_MS_BOUNDS),
             latency_cold: SlidingWindow::new(WINDOW_SLOTS, WINDOW_SLOT_MS, &LATENCY_MS_BOUNDS),
             queue_wait: SlidingWindow::new(WINDOW_SLOTS, WINDOW_SLOT_MS, &LATENCY_MS_BOUNDS),
@@ -432,6 +441,8 @@ impl Server {
             shed_overload: load(&self.stats.shed_overload),
             shed_deadline: load(&self.stats.shed_deadline),
             shed_draining: load(&self.stats.shed_draining),
+            bad_requests: load(&self.stats.bad_requests) + load(&self.stats.rejected),
+            rejected: load(&self.stats.rejected),
             latency_warm: LatencyStats::from_hist(&self.stats.latency_warm.merged(tick)),
             latency_cold: LatencyStats::from_hist(&self.stats.latency_cold.merged(tick)),
             queue_wait: LatencyStats::from_hist(&self.stats.queue_wait.merged(tick)),
@@ -463,7 +474,6 @@ impl Server {
         let counts = Counts::default();
         let workers = self.config.workers.max(1);
         let mut received = 0u64;
-        let mut bad_requests = 0u64;
         let mut pings = 0u64;
         let mut shutdown = false;
         let mut drained_clean = false;
@@ -547,9 +557,12 @@ impl Server {
                     Ok(Some(RawLine::Text(text))) => text,
                     Ok(Some(RawLine::Rejected(why))) => {
                         received += 1;
-                        bad_requests += 1;
                         klest_obs::counter_add("serve.received", 1);
-                        klest_obs::counter_add("serve.bad_request", 1);
+                        bump(
+                            &counts.bad_requests,
+                            &self.stats.bad_requests,
+                            "serve.bad_request",
+                        );
                         respond(
                             &out,
                             &error_response(
@@ -570,8 +583,11 @@ impl Server {
                 klest_obs::counter_add("serve.received", 1);
                 match parse_request(&text) {
                     Err(bad) => {
-                        bad_requests += 1;
-                        klest_obs::counter_add("serve.bad_request", 1);
+                        bump(
+                            &counts.bad_requests,
+                            &self.stats.bad_requests,
+                            "serve.bad_request",
+                        );
                         respond(
                             &out,
                             &error_response(
@@ -685,7 +701,7 @@ impl Server {
             shed_draining: counts.shed_draining.load(Ordering::Relaxed),
             cancelled: counts.cancelled.load(Ordering::Relaxed),
             faults: counts.faults.load(Ordering::Relaxed),
-            bad_requests: bad_requests + rejected,
+            bad_requests: counts.bad_requests.load(Ordering::Relaxed) + rejected,
             rejected,
             pings,
             shutdown,
@@ -982,8 +998,7 @@ impl Server {
             }
             (Some(Err(ExecError::BadRequest(message))), _) => {
                 // A client error: neither a fault nor an SLO miss.
-                counts.rejected.fetch_add(1, Ordering::Relaxed);
-                klest_obs::counter_add("serve.bad_request", 1);
+                bump(&counts.rejected, &self.stats.rejected, "serve.bad_request");
                 respond(
                     out,
                     &error_response(Some(&job.id), &ServeError::BadRequest { message }),

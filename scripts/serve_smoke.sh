@@ -76,6 +76,9 @@ check '"id":"probe".*"status":"stats"'
 check '"status":"stats".*"queue":{"depth":'
 check '"status":"stats".*"capacity":'
 check '"status":"stats".*"requests":{"admitted":'
+# Refused input is counted: the malformed line ahead of the probe is a
+# bad request, and no admitted query was refused.
+check '"status":"stats".*"requests":{[^}]*"bad_requests":1,"rejected":0}'
 check '"status":"stats".*"latency_ms":{"warm":{"count":'
 check '"status":"stats".*"p50":'
 check '"status":"stats".*"p95":'
