@@ -60,19 +60,29 @@ impl GateKind {
         }
     }
 
+    /// Every kind, `Input` first, in [`index`](Self::index) order.
+    pub const ALL: [GateKind; 10] = [
+        GateKind::Input,
+        GateKind::Buf,
+        GateKind::Inv,
+        GateKind::Nand2,
+        GateKind::Nor2,
+        GateKind::And2,
+        GateKind::Or2,
+        GateKind::Xor2,
+        GateKind::Nand3,
+        GateKind::Nor3,
+    ];
+
+    /// Position of the kind in [`GateKind::ALL`]: a dense index for
+    /// per-kind tables.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// All logic (non-input) kinds.
     pub fn logic_kinds() -> &'static [GateKind] {
-        &[
-            GateKind::Buf,
-            GateKind::Inv,
-            GateKind::Nand2,
-            GateKind::Nor2,
-            GateKind::And2,
-            GateKind::Or2,
-            GateKind::Xor2,
-            GateKind::Nand3,
-            GateKind::Nor3,
-        ]
+        &Self::ALL[1..]
     }
 }
 
@@ -444,6 +454,15 @@ mod tests {
             assert!(!format!("{k}").is_empty());
         }
         assert_eq!(format!("{}", NodeId(3)), "n3");
+    }
+
+    #[test]
+    fn gate_kind_index_is_position_in_all() {
+        for (i, k) in GateKind::ALL.iter().enumerate() {
+            assert_eq!(k.index(), i, "{k}");
+        }
+        assert_eq!(GateKind::logic_kinds().len(), GateKind::ALL.len() - 1);
+        assert!(!GateKind::logic_kinds().contains(&GateKind::Input));
     }
 
     #[test]

@@ -12,7 +12,8 @@ use klest_circuit::GateKind;
 /// Timing models for all gate kinds.
 #[derive(Debug, Clone)]
 pub struct GateLibrary {
-    models: Vec<(GateKind, GateTimingModel)>,
+    /// One model per kind, indexed by [`GateKind::index`].
+    models: [GateTimingModel; GateKind::ALL.len()],
     /// Input pin capacitance presented by every gate input.
     input_cap: f64,
     /// Slew assumed at primary inputs.
@@ -45,19 +46,20 @@ impl GateLibrary {
                 quadratic: 0.10 * sigma_frac * nominal,
             },
         };
-        // (kind, nominal delay, relative 1-sigma sensitivity)
-        let models = vec![
-            (GateKind::Input, make(0.0, 0.0)),
-            (GateKind::Buf, make(14.0, 0.05)),
-            (GateKind::Inv, make(9.0, 0.06)),
-            (GateKind::Nand2, make(13.0, 0.055)),
-            (GateKind::Nor2, make(16.0, 0.06)),
-            (GateKind::And2, make(20.0, 0.05)),
-            (GateKind::Or2, make(22.0, 0.05)),
-            (GateKind::Xor2, make(28.0, 0.055)),
-            (GateKind::Nand3, make(18.0, 0.06)),
-            (GateKind::Nor3, make(24.0, 0.065)),
-        ];
+        // Nominal delay and relative 1-sigma sensitivity per kind; the
+        // exhaustive match gives every kind a model.
+        let models = GateKind::ALL.map(|kind| match kind {
+            GateKind::Input => make(0.0, 0.0),
+            GateKind::Buf => make(14.0, 0.05),
+            GateKind::Inv => make(9.0, 0.06),
+            GateKind::Nand2 => make(13.0, 0.055),
+            GateKind::Nor2 => make(16.0, 0.06),
+            GateKind::And2 => make(20.0, 0.05),
+            GateKind::Or2 => make(22.0, 0.05),
+            GateKind::Xor2 => make(28.0, 0.055),
+            GateKind::Nand3 => make(18.0, 0.06),
+            GateKind::Nor3 => make(24.0, 0.065),
+        });
         GateLibrary {
             models,
             input_cap: 0.05,
@@ -66,17 +68,8 @@ impl GateLibrary {
     }
 
     /// Timing model for a gate kind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kind is missing from the library (cannot happen for
-    /// [`GateLibrary::default_90nm`]).
     pub fn model(&self, kind: GateKind) -> &GateTimingModel {
-        self.models
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, m)| m)
-            .unwrap_or_else(|| panic!("gate kind {kind} missing from library"))
+        &self.models[kind.index()]
     }
 
     /// Input pin capacitance per gate input.

@@ -8,7 +8,7 @@
 set -eu
 
 fail=0
-for crate in core ssta mesh kernels linalg obs proptest runtime serve; do
+for crate in core ssta mesh kernels linalg obs proptest runtime serve sta circuit; do
   while IFS= read -r f; do
     cut=$(grep -n '#\[cfg(test)\]' "$f" | head -1 | cut -d: -f1 || true)
     if [ -n "$cut" ]; then
