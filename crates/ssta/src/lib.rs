@@ -70,7 +70,7 @@ pub use error::SstaError;
 pub use grid_model::GridPcaSampler;
 pub use mc::{
     run_monte_carlo, run_monte_carlo_supervised, run_monte_carlo_with, McCheckpoint, McConfig,
-    McMode, McRun, SalvageStats, N_PARAMS,
+    McMode, McRun, SalvageStats, LANES, N_PARAMS,
 };
 pub use normal::NormalSource;
 pub use process::ProcessModel;
