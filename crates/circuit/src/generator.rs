@@ -226,12 +226,22 @@ mod tests {
     fn rejects_degenerate_config() {
         assert!(generate(
             "z",
-            GeneratorConfig { gates: 0, inputs: 4, seed: 0, locality: 0.5 }
+            GeneratorConfig {
+                gates: 0,
+                inputs: 4,
+                seed: 0,
+                locality: 0.5
+            }
         )
         .is_err());
         assert!(generate(
             "z",
-            GeneratorConfig { gates: 5, inputs: 0, seed: 0, locality: 0.5 }
+            GeneratorConfig {
+                gates: 5,
+                inputs: 0,
+                seed: 0,
+                locality: 0.5
+            }
         )
         .is_err());
     }

@@ -165,24 +165,25 @@ pub fn parse_netlist(name: impl Into<String>, text: &str) -> Result<Circuit, Par
                 return Err(ParseNetlistError::DuplicateNode { line, node: target });
             }
             let rhs = rhs.trim();
-            let (kind_str, args) = rhs
-                .split_once('(')
-                .ok_or_else(|| ParseNetlistError::Syntax {
-                    line,
-                    text: trimmed.to_string(),
-                })?;
+            let (kind_str, args) =
+                rhs.split_once('(')
+                    .ok_or_else(|| ParseNetlistError::Syntax {
+                        line,
+                        text: trimmed.to_string(),
+                    })?;
             let args = args
                 .strip_suffix(')')
                 .ok_or_else(|| ParseNetlistError::Syntax {
                     line,
                     text: trimmed.to_string(),
                 })?;
-            let kind = kind_from_name(kind_str.trim().to_ascii_uppercase().as_str()).ok_or_else(
-                || ParseNetlistError::UnknownGate {
-                    line,
-                    kind: kind_str.trim().to_string(),
-                },
-            )?;
+            let kind =
+                kind_from_name(kind_str.trim().to_ascii_uppercase().as_str()).ok_or_else(|| {
+                    ParseNetlistError::UnknownGate {
+                        line,
+                        kind: kind_str.trim().to_string(),
+                    }
+                })?;
             let mut fanins = Vec::new();
             for a in args.split(',') {
                 let node = a.trim();
@@ -314,7 +315,11 @@ OUTPUT(z)
             ParseNetlistError::Circuit(_)
         ));
         // Display formats mention line numbers.
-        let msg = ParseNetlistError::Syntax { line: 9, text: "zz".into() }.to_string();
+        let msg = ParseNetlistError::Syntax {
+            line: 9,
+            text: "zz".into(),
+        }
+        .to_string();
         assert!(msg.contains("line 9"));
     }
 

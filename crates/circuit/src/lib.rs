@@ -35,7 +35,7 @@ mod stats;
 mod suite;
 mod wire;
 
-pub use generator::{GeneratorConfig, generate};
+pub use generator::{generate, GeneratorConfig};
 pub use io::{parse_netlist, write_netlist, ParseNetlistError};
 pub use netlist::{Circuit, CircuitError, GateKind, NodeId};
 pub use partition::Partition;

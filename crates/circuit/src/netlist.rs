@@ -141,7 +141,11 @@ impl fmt::Display for CircuitError {
             CircuitError::InvalidFanin { node, fanin } => {
                 write!(f, "node n{node} references invalid fanin n{fanin}")
             }
-            CircuitError::FaninCountMismatch { node, expected, got } => {
+            CircuitError::FaninCountMismatch {
+                node,
+                expected,
+                got,
+            } => {
                 write!(f, "node n{node} expects {expected} fanins, got {got}")
             }
             CircuitError::UnknownOutput { node } => {
@@ -314,7 +318,10 @@ impl CircuitBuilder {
         }
         for f in fanins {
             if f.0 >= id.0 {
-                return Err(CircuitError::InvalidFanin { node: id.0, fanin: f.0 });
+                return Err(CircuitError::InvalidFanin {
+                    node: id.0,
+                    fanin: f.0,
+                });
             }
         }
         self.kinds.push(kind);
@@ -352,11 +359,7 @@ impl CircuitBuilder {
                 fanouts[f.index()].push(NodeId(i as u32));
             }
         }
-        let input_count = self
-            .kinds
-            .iter()
-            .filter(|&&k| k == GateKind::Input)
-            .count();
+        let input_count = self.kinds.iter().filter(|&&k| k == GateKind::Input).count();
         Ok(Circuit {
             name: self.name,
             kinds: self.kinds,
@@ -407,7 +410,11 @@ mod tests {
         let e = b.gate(GateKind::Nand2, &[a]);
         assert!(matches!(
             e,
-            Err(CircuitError::FaninCountMismatch { expected: 2, got: 1, .. })
+            Err(CircuitError::FaninCountMismatch {
+                expected: 2,
+                got: 1,
+                ..
+            })
         ));
     }
 
@@ -416,7 +423,10 @@ mod tests {
         let mut b = Circuit::builder("fwd");
         let a = b.input();
         let e = b.gate(GateKind::Inv, &[NodeId(5)]);
-        assert!(matches!(e, Err(CircuitError::InvalidFanin { fanin: 5, .. })));
+        assert!(matches!(
+            e,
+            Err(CircuitError::InvalidFanin { fanin: 5, .. })
+        ));
         let e2 = b.gate(GateKind::Buf, &[NodeId(a.0 + 1)]);
         assert!(e2.is_err());
     }

@@ -98,8 +98,8 @@ impl Placement {
             if fanouts.is_empty() {
                 continue;
             }
-            let pins = std::iter::once(self.location(id))
-                .chain(fanouts.iter().map(|&f| self.location(f)));
+            let pins =
+                std::iter::once(self.location(id)).chain(fanouts.iter().map(|&f| self.location(f)));
             if let Some(bbox) = klest_geometry::BBox::from_points(pins) {
                 total += bbox.half_perimeter();
             }

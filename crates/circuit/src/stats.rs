@@ -152,12 +152,10 @@ mod tests {
 
     #[test]
     fn sequential_profile_is_shallower() {
-        let comb = CircuitStats::measure(
-            &generate("c", GeneratorConfig::combinational(3000, 5)).unwrap(),
-        );
-        let seq = CircuitStats::measure(
-            &generate("s", GeneratorConfig::sequential(3000, 5)).unwrap(),
-        );
+        let comb =
+            CircuitStats::measure(&generate("c", GeneratorConfig::combinational(3000, 5)).unwrap());
+        let seq =
+            CircuitStats::measure(&generate("s", GeneratorConfig::sequential(3000, 5)).unwrap());
         assert!(
             seq.depth < comb.depth,
             "unrolled sequential logic should be shallower: {} vs {}",

@@ -188,7 +188,10 @@ mod tests {
         assert!(!BenchmarkId::C880.is_sequential());
         assert!(BenchmarkId::S5378.is_sequential());
         assert_eq!(
-            TABLE1_BENCHMARKS.iter().filter(|b| b.is_sequential()).count(),
+            TABLE1_BENCHMARKS
+                .iter()
+                .filter(|b| b.is_sequential())
+                .count(),
             7
         );
     }

@@ -131,7 +131,9 @@ mod tests {
         };
         let driver = c
             .topological_order()
-            .find(|&id| !c.fanouts(id).is_empty() && base.net_parasitics(&c, &p, id).wirelength > 0.0)
+            .find(|&id| {
+                !c.fanouts(id).is_empty() && base.net_parasitics(&c, &p, id).wirelength > 0.0
+            })
             .unwrap();
         let a = base.net_parasitics(&c, &p, driver);
         let b = double.net_parasitics(&c, &p, driver);

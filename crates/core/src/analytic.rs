@@ -144,10 +144,7 @@ pub fn separable_2d_eigenvalues(c: f64, a: f64, count: usize) -> Vec<f64> {
 /// Bisection root finder; assumes a sign change on `[lo, hi]`.
 fn bisect<F: Fn(f64) -> f64>(f: F, mut lo: f64, mut hi: f64) -> f64 {
     let mut flo = f(lo);
-    debug_assert!(
-        flo * f(hi) <= 0.0,
-        "bisection bracket has no sign change"
-    );
+    debug_assert!(flo * f(hi) <= 0.0, "bisection bracket has no sign change");
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
         let fmid = f(mid);

@@ -168,22 +168,12 @@ mod tests {
         let kernel = SeparableExponentialKernel::new(1.0);
         let reference = separable_2d_eigenvalues(1.0, 1.0, 3);
         let ladder = [0.1, 0.04];
-        let centroid = eigenvalue_convergence(
-            &kernel,
-            &reference,
-            &ladder,
-            3,
-            QuadratureRule::Centroid,
-        )
-        .unwrap();
-        let seven = eigenvalue_convergence(
-            &kernel,
-            &reference,
-            &ladder,
-            3,
-            QuadratureRule::SevenPoint,
-        )
-        .unwrap();
+        let centroid =
+            eigenvalue_convergence(&kernel, &reference, &ladder, 3, QuadratureRule::Centroid)
+                .unwrap();
+        let seven =
+            eigenvalue_convergence(&kernel, &reference, &ladder, 3, QuadratureRule::SevenPoint)
+                .unwrap();
         for (c, s) in centroid.points.iter().zip(&seven.points) {
             assert!(
                 s.error <= c.error * 1.05,

@@ -46,7 +46,10 @@ impl fmt::Display for KleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             KleError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
-            KleError::RankOutOfRange { requested, available } => write!(
+            KleError::RankOutOfRange {
+                requested,
+                available,
+            } => write!(
                 f,
                 "truncation rank {requested} exceeds the {available} retained eigenpairs"
             ),
@@ -57,7 +60,10 @@ impl fmt::Display for KleError {
                 write!(f, "point {index} lies outside the meshed die area")
             }
             KleError::TriangleOutOfRange { index, triangles } => {
-                write!(f, "triangle index {index} out of range ({triangles} triangles)")
+                write!(
+                    f,
+                    "triangle index {index} out of range ({triangles} triangles)"
+                )
             }
             KleError::Cancelled(c) => write!(f, "{c}"),
         }
@@ -106,9 +112,12 @@ mod tests {
         };
         assert!(e.to_string().contains("30"));
         assert!(e.source().is_none());
-        assert!(KleError::SampleDimensionMismatch { expected: 3, got: 2 }
-            .to_string()
-            .contains("expected 3"));
+        assert!(KleError::SampleDimensionMismatch {
+            expected: 3,
+            got: 2
+        }
+        .to_string()
+        .contains("expected 3"));
         assert!(KleError::PointOutsideMesh { index: 5 }
             .to_string()
             .contains("point 5"));

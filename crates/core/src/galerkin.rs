@@ -110,8 +110,7 @@ pub fn assemble_galerkin<K: CovarianceKernel + ?Sized>(
     // which an untripped unlimited token cannot produce. An empty matrix
     // here would silently poison every downstream eigensolve, so the
     // invariant is guarded loudly instead of papered over.
-    assemble_inner(mesh, kernel, rule, None)
-        .expect("tokenless assembly cannot be cancelled")
+    assemble_inner(mesh, kernel, rule, None).expect("tokenless assembly cannot be cancelled")
 }
 
 /// Like [`assemble_galerkin`], but polling `token` once per assembled row
@@ -185,7 +184,9 @@ impl RuleData<'_> {
                 areas: mesh.areas(),
             },
             _ => RuleData::Nodes(
-                (0..mesh.len()).map(|i| rule.nodes(&mesh.triangle(i))).collect(),
+                (0..mesh.len())
+                    .map(|i| rule.nodes(&mesh.triangle(i)))
+                    .collect(),
             ),
         }
     }
@@ -432,10 +433,7 @@ impl<'a, K: CovarianceKernel + ?Sized> GalerkinOperator<'a, K> {
     fn apply_parallel(&self, x: &[f64], y: &mut [f64], workers: usize) -> Result<(), Cancelled> {
         let n = self.n;
         let bounds = shard_row_bounds(n, workers);
-        let pool_token = self
-            .token
-            .clone()
-            .unwrap_or_else(CancelToken::unlimited);
+        let pool_token = self.token.clone().unwrap_or_else(CancelToken::unlimited);
         let supervisor = Supervisor::new(pool_token);
         // Owned per-shard row blocks, scattered single-threaded below —
         // the same retry-safe shape as the parallel assembly.
@@ -512,7 +510,10 @@ impl<K: CovarianceKernel + ?Sized> LinearOperator for GalerkinOperator<'_, K> {
             } as u64;
             // A matvec evaluates full rows (n entries each), not the
             // assembly's half triangle.
-            klest_obs::counter_add("galerkin.kernel_evals", rows * self.n as u64 * nodes * nodes);
+            klest_obs::counter_add(
+                "galerkin.kernel_evals",
+                rows * self.n as u64 * nodes * nodes,
+            );
         }
         result.map_err(LinalgError::from)
     }
@@ -528,7 +529,10 @@ fn record_assembly_counters(n: usize, rule: QuadratureRule, rows: usize, cancell
         return;
     }
     let nodes = rule.node_count() as u64;
-    klest_obs::counter_add("galerkin.kernel_evals", tri_entries(n, 0, rows) * nodes * nodes);
+    klest_obs::counter_add(
+        "galerkin.kernel_evals",
+        tri_entries(n, 0, rows) * nodes * nodes,
+    );
     if cancelled {
         klest_obs::counter_add("galerkin.rows_salvaged", rows as u64);
     }
@@ -610,7 +614,10 @@ mod tests {
         let k7 = assemble_galerkin(&m, &kern, QuadratureRule::SevenPoint);
         let d13 = k1.sub(&k3).unwrap().max_abs();
         let d37 = k3.sub(&k7).unwrap().max_abs();
-        assert!(d37 < d13, "3pt-7pt gap {d37} should be below centroid gap {d13}");
+        assert!(
+            d37 < d13,
+            "3pt-7pt gap {d37} should be below centroid gap {d13}"
+        );
     }
 
     #[test]
@@ -666,7 +673,11 @@ mod tests {
     #[test]
     fn parallel_assembly_is_bitwise_identical_to_serial() {
         let m = big_mesh();
-        assert!(m.len() >= PARALLEL_MIN_TRIANGLES, "mesh too small: {}", m.len());
+        assert!(
+            m.len() >= PARALLEL_MIN_TRIANGLES,
+            "mesh too small: {}",
+            m.len()
+        );
         let kern = GaussianKernel::new(1.5);
         for rule in [QuadratureRule::Centroid, QuadratureRule::ThreePoint] {
             let serial = assemble_galerkin(&m, &kern, rule);
@@ -696,13 +707,8 @@ mod tests {
         let kern = GaussianKernel::new(1.0);
         let token = CancelToken::unlimited();
         token.cancel();
-        match assemble_galerkin_parallel_with_token(
-            &m,
-            &kern,
-            QuadratureRule::Centroid,
-            4,
-            &token,
-        ) {
+        match assemble_galerkin_parallel_with_token(&m, &kern, QuadratureRule::Centroid, 4, &token)
+        {
             Err(c) => {
                 assert_eq!(c.stage, "galerkin/assemble");
                 assert_eq!(c.completed, 0, "pre-tripped token assembles nothing");

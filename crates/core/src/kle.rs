@@ -262,7 +262,8 @@ impl GalerkinKle {
                 };
                 let mut d = Matrix::zeros(n, m);
                 for i in 0..n {
-                    d.row_mut(i).copy_from_slice(&gep.eigenvectors().row(i)[..m]);
+                    d.row_mut(i)
+                        .copy_from_slice(&gep.eigenvectors().row(i)[..m]);
                 }
                 (gep.eigenvalues().to_vec(), d)
             }
@@ -290,7 +291,10 @@ impl GalerkinKle {
                 }
                 (partial.eigenvalues().to_vec(), d)
             }
-            EigenSolver::MatrixFree { k: modes, max_iters } => {
+            EigenSolver::MatrixFree {
+                k: modes,
+                max_iters,
+            } => {
                 // Pre-assembled matrix handed to the matrix-free engine:
                 // the dense adapter's matvec is bitwise identical to the
                 // on-the-fly GalerkinOperator, so this arm produces the
@@ -503,7 +507,11 @@ impl GalerkinKle {
     ///
     /// Panics if `r > retained()`.
     pub fn variance_map(&self, r: usize) -> Vec<f64> {
-        assert!(r <= self.retained(), "rank {r} exceeds retained {}", self.retained());
+        assert!(
+            r <= self.retained(),
+            "rank {r} exceeds retained {}",
+            self.retained()
+        );
         let n = self.basis_size();
         (0..n)
             .map(|i| {
@@ -543,8 +551,8 @@ mod tests {
             .min_angle_degrees(25.0)
             .build()
             .unwrap();
-        let kle = GalerkinKle::compute(&mesh, &GaussianKernel::new(1.5), KleOptions::default())
-            .unwrap();
+        let kle =
+            GalerkinKle::compute(&mesh, &GaussianKernel::new(1.5), KleOptions::default()).unwrap();
         (mesh, kle)
     }
 
@@ -590,10 +598,7 @@ mod tests {
                     .map(|((a, b), w)| a * b * w)
                     .sum();
                 let expected = if i == j { 1.0 } else { 0.0 };
-                assert!(
-                    (inner - expected).abs() < 1e-9,
-                    "⟨f_{i}, f_{j}⟩ = {inner}"
-                );
+                assert!((inner - expected).abs() < 1e-9, "⟨f_{i}, f_{j}⟩ = {inner}");
             }
         }
     }
@@ -617,9 +622,7 @@ mod tests {
         assert_eq!(dl.cols(), r);
         for j in 0..r {
             let lam = kle.eigenvalues()[j];
-            assert!(
-                (dl[(0, j)] - kle.eigenfunction_value(j, 0) * lam.sqrt()).abs() < 1e-12
-            );
+            assert!((dl[(0, j)] - kle.eigenfunction_value(j, 0) * lam.sqrt()).abs() < 1e-12);
         }
         assert!(matches!(
             kle.reconstruction_matrix(0),
@@ -632,7 +635,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_reconstruction_error_shrinks_with_rank(){
+    fn kernel_reconstruction_error_shrinks_with_rank() {
         let (mesh, kle) = small_kle();
         let kern = GaussianKernel::new(1.5);
         let err = |r: usize| {
@@ -716,18 +719,12 @@ mod tests {
         // Φ-orthonormal eigenfunctions from the Lanczos path too.
         for i in 0..3 {
             let fi = partial.eigenfunction(i);
-            let norm: f64 = fi
-                .iter()
-                .zip(partial.areas())
-                .map(|(v, a)| v * v * a)
-                .sum();
+            let norm: f64 = fi.iter().zip(partial.areas()).map(|(v, a)| v * v * a).sum();
             assert!((norm - 1.0).abs() < 1e-8, "mode {i} norm {norm}");
         }
         // Variance accounting uses the exact trace under both solvers.
         let r = 10;
-        assert!(
-            (partial.variance_captured(r) - full.variance_captured(r)).abs() < 1e-6
-        );
+        assert!((partial.variance_captured(r) - full.variance_captured(r)).abs() < 1e-6);
     }
 
     #[test]
@@ -815,8 +812,8 @@ mod tests {
         }
         // A live token reproduces the plain path bit for bit.
         let live = CancelToken::unlimited();
-        let with = GalerkinKle::compute_with_token(&mesh, &kernel, KleOptions::default(), &live)
-            .unwrap();
+        let with =
+            GalerkinKle::compute_with_token(&mesh, &kernel, KleOptions::default(), &live).unwrap();
         let without = GalerkinKle::compute(&mesh, &kernel, KleOptions::default()).unwrap();
         for (a, b) in with.eigenvalues().iter().zip(without.eigenvalues()) {
             assert_eq!(a, b);

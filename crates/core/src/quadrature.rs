@@ -192,14 +192,13 @@ mod tests {
                 let du = 1.0 / sub as f64;
                 if (i + j) < sub {
                     let tt = Triangle::new(f(u0, v0), f(u0 + du, v0), f(u0, v0 + du));
-                    reference +=
-                        QuadratureRule::SevenPoint.integrate(&tt, |p| (-(p.x * p.x + p.y * p.y)).exp());
+                    reference += QuadratureRule::SevenPoint
+                        .integrate(&tt, |p| (-(p.x * p.x + p.y * p.y)).exp());
                 }
                 if i + j + 2 <= sub {
-                    let tt =
-                        Triangle::new(f(u0 + du, v0), f(u0 + du, v0 + du), f(u0, v0 + du));
-                    reference +=
-                        QuadratureRule::SevenPoint.integrate(&tt, |p| (-(p.x * p.x + p.y * p.y)).exp());
+                    let tt = Triangle::new(f(u0 + du, v0), f(u0 + du, v0 + du), f(u0, v0 + du));
+                    reference += QuadratureRule::SevenPoint
+                        .integrate(&tt, |p| (-(p.x * p.x + p.y * p.y)).exp());
                 }
             }
         }

@@ -69,10 +69,7 @@ impl KleSampler {
                 got: xi.len(),
             });
         }
-        Ok(self
-            .d_lambda
-            .mul_vec(xi)
-            .expect("dimensions checked above"))
+        Ok(self.d_lambda.mul_vec(xi).expect("dimensions checked above"))
     }
 
     /// Maps arbitrary die locations (gate positions) to their containing
@@ -156,8 +153,8 @@ mod tests {
             .min_angle_degrees(25.0)
             .build()
             .unwrap();
-        let kle = GalerkinKle::compute(&mesh, &GaussianKernel::new(1.5), KleOptions::default())
-            .unwrap();
+        let kle =
+            GalerkinKle::compute(&mesh, &GaussianKernel::new(1.5), KleOptions::default()).unwrap();
         let sampler = KleSampler::new(&kle, &mesh, r).unwrap();
         (mesh, kle, sampler)
     }
@@ -169,7 +166,10 @@ mod tests {
         assert_eq!(sampler.basis_size(), mesh.len());
         assert!(matches!(
             sampler.realize(&[0.0; 3]),
-            Err(KleError::SampleDimensionMismatch { expected: 8, got: 3 })
+            Err(KleError::SampleDimensionMismatch {
+                expected: 8,
+                got: 3
+            })
         ));
         assert!(KleSampler::new(&kle, &mesh, 0).is_err());
         assert!(KleSampler::new(&kle, &mesh, kle.retained() + 1).is_err());
@@ -271,7 +271,9 @@ mod tests {
         // Deterministic normals via a simple LCG + Box-Muller.
         let mut seed = 7u64;
         let mut unif = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((seed >> 11) as f64 + 0.5) / (1u64 << 53) as f64
         };
         let mut normal = move || {

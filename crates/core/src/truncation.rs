@@ -15,8 +15,7 @@
 /// near-degenerate pairs (|λ_i − λ_{i+1}| at rounding scale) count as
 /// descending; a single NaN does not.
 pub fn spectrum_is_descending(eigenvalues: &[f64]) -> bool {
-    eigenvalues.iter().all(|x| !x.is_nan())
-        && eigenvalues.windows(2).all(|w| w[0] >= w[1])
+    eigenvalues.iter().all(|x| !x.is_nan()) && eigenvalues.windows(2).all(|w| w[0] >= w[1])
 }
 
 /// A descending-sorted copy with NaNs replaced by 0.0 — the same value

@@ -128,7 +128,11 @@ fn trace_identity_and_spectrum_shape_for_any_kernel() {
         if !spectrum_is_descending(kle.eigenvalues()) {
             return Err(format!("{case:?}: spectrum not descending"));
         }
-        let min = kle.eigenvalues().iter().copied().fold(f64::INFINITY, f64::min);
+        let min = kle
+            .eigenvalues()
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min);
         if min < -1e-8 * area {
             return Err(format!("{case:?}: significantly negative eigenvalue {min}"));
         }
@@ -143,35 +147,36 @@ fn trace_identity_and_spectrum_shape_for_any_kernel() {
 #[test]
 fn truncation_selection_properties() {
     let spectra = strategies::descending_spectrum(2..80);
-    check(
-        "truncation_selection_properties",
-        &spectra,
-        |spectrum| {
-            let m = spectrum.len();
-            let crit = TruncationCriterion::new(m, 0.01);
-            let (r, clean) = crit.select_with_basis_checked(spectrum, m);
-            if !clean {
-                return Err("descending input flagged as mis-sorted".to_string());
-            }
-            if !(1..=m).contains(&r) {
-                return Err(format!("rank {r} out of bounds 1..={m}"));
-            }
-            // budget_met agrees with select: met at r or saturated at m.
-            let met = crit.budget_met_with_basis(spectrum, m, r);
-            if met && r > 1 && crit.budget_met_with_basis(spectrum, m, r - 1) {
-                return Err(format!("rank {r} not minimal: bound already met at {}", r - 1));
-            }
-            if !met && r != m {
-                return Err(format!("bound unmet at selected rank {r} < m = {m}"));
-            }
-            // Monotonicity in the tail budget.
-            let tighter = TruncationCriterion::new(m, 0.001).select(spectrum);
-            if tighter < r {
-                return Err(format!("tighter budget selected smaller rank {tighter} < {r}"));
-            }
-            Ok(())
-        },
-    );
+    check("truncation_selection_properties", &spectra, |spectrum| {
+        let m = spectrum.len();
+        let crit = TruncationCriterion::new(m, 0.01);
+        let (r, clean) = crit.select_with_basis_checked(spectrum, m);
+        if !clean {
+            return Err("descending input flagged as mis-sorted".to_string());
+        }
+        if !(1..=m).contains(&r) {
+            return Err(format!("rank {r} out of bounds 1..={m}"));
+        }
+        // budget_met agrees with select: met at r or saturated at m.
+        let met = crit.budget_met_with_basis(spectrum, m, r);
+        if met && r > 1 && crit.budget_met_with_basis(spectrum, m, r - 1) {
+            return Err(format!(
+                "rank {r} not minimal: bound already met at {}",
+                r - 1
+            ));
+        }
+        if !met && r != m {
+            return Err(format!("bound unmet at selected rank {r} < m = {m}"));
+        }
+        // Monotonicity in the tail budget.
+        let tighter = TruncationCriterion::new(m, 0.001).select(spectrum);
+        if tighter < r {
+            return Err(format!(
+                "tighter budget selected smaller rank {tighter} < {r}"
+            ));
+        }
+        Ok(())
+    });
 }
 
 /// The ordering repair is semantics-preserving: any permutation of a
@@ -421,7 +426,11 @@ fn matrix_free_partial_spectrum_respects_the_mercer_trace() {
                 "{case:?}: variance_captured {captured} is not head/trace {expected}"
             ));
         }
-        let min = kle.eigenvalues().iter().copied().fold(f64::INFINITY, f64::min);
+        let min = kle
+            .eigenvalues()
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min);
         if min < -1e-8 * area {
             return Err(format!("{case:?}: significantly negative eigenvalue {min}"));
         }

@@ -208,9 +208,7 @@ impl Strategy for PolygonIn {
                 .collect();
             angles.sort_by(f64::total_cmp);
             // Reject near-coincident angles (degenerate edges).
-            let distinct = angles
-                .windows(2)
-                .all(|w| w[1] - w[0] > 1e-3);
+            let distinct = angles.windows(2).all(|w| w[1] - w[0] > 1e-3);
             if !distinct {
                 continue;
             }

@@ -308,8 +308,8 @@ mod tests {
     fn panicking_shard_is_retried_and_recovers() {
         with_quiet_panics(|| {
             let fired = AtomicUsize::new(0);
-            let sup = Supervisor::new(CancelToken::unlimited())
-                .with_backoff(Duration::from_millis(1));
+            let sup =
+                Supervisor::new(CancelToken::unlimited()).with_backoff(Duration::from_millis(1));
             let run = sup.run(3, |shard, _token| {
                 if shard == 1 && fired.fetch_add(1, Ordering::SeqCst) == 0 {
                     std::panic::panic_any("injected: shard 1 first attempt".to_string());

@@ -290,10 +290,10 @@ impl CancelToken {
             return Err(self.cancelled_err(stage));
         }
         if self.inner.trip_after.load(Ordering::Relaxed) != TRIP_DISABLED {
-            let spent = self
-                .inner
-                .trip_after
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1));
+            let spent =
+                self.inner
+                    .trip_after
+                    .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1));
             if spent.is_err() {
                 // Countdown exhausted: behave exactly like a cancellation.
                 self.inner.cancelled.store(true, Ordering::Release);
@@ -434,7 +434,10 @@ mod tests {
 
     #[test]
     fn budget_parsing() {
-        assert_eq!(Budget::try_from_secs(1.5), Some(Budget::wall(Duration::from_millis(1500))));
+        assert_eq!(
+            Budget::try_from_secs(1.5),
+            Some(Budget::wall(Duration::from_millis(1500)))
+        );
         assert_eq!(Budget::try_from_secs(0.0), None);
         assert_eq!(Budget::try_from_secs(-2.0), None);
         assert_eq!(Budget::try_from_secs(f64::NAN), None);
@@ -446,7 +449,10 @@ mod tests {
     #[test]
     fn stage_budgets_parse_and_lookup() {
         let budgets = StageBudgets::parse("mesh=0.5, mc=2").unwrap();
-        assert_eq!(budgets.budget("mesh").limit(), Some(Duration::from_millis(500)));
+        assert_eq!(
+            budgets.budget("mesh").limit(),
+            Some(Duration::from_millis(500))
+        );
         assert_eq!(budgets.budget("mc").limit(), Some(Duration::from_secs(2)));
         assert!(budgets.budget("eigen").is_unlimited());
         assert!(!budgets.is_empty());

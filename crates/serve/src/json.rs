@@ -315,9 +315,8 @@ impl<'a> Parser<'a> {
                                     self.eat(b'u')?;
                                     let second = self.hex4()?;
                                     if (0xDC00..0xE000).contains(&second) {
-                                        let combined = 0x10000
-                                            + ((first - 0xD800) << 10)
-                                            + (second - 0xDC00);
+                                        let combined =
+                                            0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
                                         char::from_u32(combined)
                                     } else {
                                         None

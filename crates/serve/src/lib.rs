@@ -53,10 +53,10 @@ pub mod server;
 
 pub use journal::{PendingRequest, RequestJournal};
 pub use protocol::{
-    parse_request, stats_response, BadRequest, CircuitSpec, KernelSpec, LatencyStats,
-    QueryOutcome, QuerySpec, ServeError, ServeRequest, StatsReport, TraceInfo,
+    parse_request, stats_response, BadRequest, CircuitSpec, KernelSpec, LatencyStats, QueryOutcome,
+    QuerySpec, ServeError, ServeRequest, StatsReport, TraceInfo,
 };
-pub use server::{Server, ServeConfig, ServeSummary};
+pub use server::{ServeConfig, ServeSummary, Server};
 
 #[cfg(test)]
 mod tests {
@@ -133,9 +133,8 @@ mod tests {
 
     #[test]
     fn bad_requests_get_typed_responses_and_do_not_stop_service() {
-        let input = format!(
-            "this is not json\n{{\"id\":\"x\",\"bogus\":1}}\n{{\"id\":\"ok\",{TINY}}}\n"
-        );
+        let input =
+            format!("this is not json\n{{\"id\":\"x\",\"bogus\":1}}\n{{\"id\":\"ok\",{TINY}}}\n");
         let (summary, lines) = run_lines(fast_config(), &input);
         assert_eq!(summary.bad_requests, 2);
         assert_eq!(summary.completed, 1);
@@ -167,7 +166,10 @@ mod tests {
         let mut out: Vec<u8> = Vec::new();
         server.serve(Cursor::new("{\"op\":\"stats\",\"id\":\"s\"}\n"), &mut out);
         let text = String::from_utf8(out).expect("responses are UTF-8");
-        let stats = text.lines().find(|l| l.contains("\"id\":\"s\"")).expect("stats line");
+        let stats = text
+            .lines()
+            .find(|l| l.contains("\"id\":\"s\""))
+            .expect("stats line");
         assert!(stats.contains("\"faults\":0"), "{stats}");
     }
 
@@ -184,12 +186,18 @@ mod tests {
         let edit = r#"{"id":"x","mode":"hier","gates":3000,"edit_gate":3500}"#;
         server.serve(Cursor::new(format!("{edit}\n")), Vec::new());
         let probe = stats(&server);
-        assert!(probe.contains("\"bad_requests\":1,\"rejected\":1"), "{probe}");
+        assert!(
+            probe.contains("\"bad_requests\":1,\"rejected\":1"),
+            "{probe}"
+        );
         assert!(probe.contains("\"faults\":0"), "{probe}");
         // A malformed line counts as a bad request but not a rejection.
         server.serve(Cursor::new("not json\n"), Vec::new());
         let probe = stats(&server);
-        assert!(probe.contains("\"bad_requests\":2,\"rejected\":1"), "{probe}");
+        assert!(
+            probe.contains("\"bad_requests\":2,\"rejected\":1"),
+            "{probe}"
+        );
     }
 
     #[test]
@@ -290,10 +298,8 @@ mod tests {
 
     #[test]
     fn warm_restart_replays_journaled_requests_exactly_once() {
-        let state_dir = std::env::temp_dir().join(format!(
-            "klest-serve-state-{}-replay",
-            std::process::id()
-        ));
+        let state_dir =
+            std::env::temp_dir().join(format!("klest-serve-state-{}-replay", std::process::id()));
         let _ = std::fs::remove_dir_all(&state_dir);
 
         // Life 1: a normal run with a state dir. Both requests drain
@@ -386,8 +392,9 @@ mod tests {
             let reader = BufReader::new(stream.try_clone().expect("clone"));
             let lines: Vec<String> = reader.lines().map_while(Result::ok).collect();
             assert!(
-                lines.iter().any(|l| l.contains("\"id\":\"s1\"")
-                    && l.contains("\"status\":\"completed\"")),
+                lines
+                    .iter()
+                    .any(|l| l.contains("\"id\":\"s1\"") && l.contains("\"status\":\"completed\"")),
                 "{lines:?}"
             );
             let summary = handle.join().expect("no panic").expect("no io error");

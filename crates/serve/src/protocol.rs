@@ -11,10 +11,10 @@
 use std::time::Duration;
 
 use klest_circuit::{BenchmarkId, TABLE1_BENCHMARKS};
-use klest_obs::{HistState, SloSnapshot, SpanEntry};
 use klest_kernels::{
     CovarianceKernel, ExponentialKernel, GaussianKernel, MaternKernel, SeparableExponentialKernel,
 };
+use klest_obs::{HistState, SloSnapshot, SpanEntry};
 
 use crate::json::{self, Json};
 
@@ -99,9 +99,9 @@ impl KernelSpec {
             KernelSpec::Gaussian { c: Some(c), .. } => GaussianKernel::try_new(*c)
                 .map(|k| Box::new(k) as Box<dyn CovarianceKernel>)
                 .map_err(|e| e.to_string()),
-            KernelSpec::Gaussian { c: None, dist } => Ok(Box::new(
-                GaussianKernel::with_correlation_distance(*dist),
-            )),
+            KernelSpec::Gaussian { c: None, dist } => {
+                Ok(Box::new(GaussianKernel::with_correlation_distance(*dist)))
+            }
             KernelSpec::Exponential { c } => ExponentialKernel::try_new(*c)
                 .map(|k| Box::new(k) as Box<dyn CovarianceKernel>)
                 .map_err(|e| e.to_string()),
@@ -585,9 +585,18 @@ pub fn stats_response(id: Option<&str>, s: &StatsReport) -> String {
                 ("salvaged".to_string(), Json::Num(s.salvaged as f64)),
                 ("cancelled".to_string(), Json::Num(s.cancelled as f64)),
                 ("faults".to_string(), Json::Num(s.faults as f64)),
-                ("shed_overload".to_string(), Json::Num(s.shed_overload as f64)),
-                ("shed_deadline".to_string(), Json::Num(s.shed_deadline as f64)),
-                ("shed_draining".to_string(), Json::Num(s.shed_draining as f64)),
+                (
+                    "shed_overload".to_string(),
+                    Json::Num(s.shed_overload as f64),
+                ),
+                (
+                    "shed_deadline".to_string(),
+                    Json::Num(s.shed_deadline as f64),
+                ),
+                (
+                    "shed_draining".to_string(),
+                    Json::Num(s.shed_draining as f64),
+                ),
                 ("bad_requests".to_string(), Json::Num(s.bad_requests as f64)),
                 ("rejected".to_string(), Json::Num(s.rejected as f64)),
             ]),
@@ -627,10 +636,7 @@ pub fn stats_response(id: Option<&str>, s: &StatsReport) -> String {
                     "block".to_string(),
                     Json::Obj(vec![
                         ("hits".to_string(), Json::Num(s.cache_block_hits as f64)),
-                        (
-                            "misses".to_string(),
-                            Json::Num(s.cache_block_misses as f64),
-                        ),
+                        ("misses".to_string(), Json::Num(s.cache_block_misses as f64)),
                         ("hit_ratio".to_string(), block_hit_ratio),
                         ("entries".to_string(), Json::Num(block_n as f64)),
                     ]),
@@ -906,8 +912,8 @@ pub fn parse_request(line: &str) -> Result<ServeRequest, BadRequest> {
             format!("request line longer than {MAX_LINE_BYTES} bytes"),
         ));
     }
-    let value = json::parse(line)
-        .map_err(|e| BadRequest::new(None, format!("malformed JSON: {e}")))?;
+    let value =
+        json::parse(line).map_err(|e| BadRequest::new(None, format!("malformed JSON: {e}")))?;
     let members = value
         .as_obj()
         .ok_or_else(|| BadRequest::new(None, "request must be a JSON object"))?;
@@ -935,9 +941,15 @@ pub fn parse_request(line: &str) -> Result<ServeRequest, BadRequest> {
     let bad = |m: String| BadRequest::new(Some(id.clone()), m);
     let circuit = parse_circuit(&value).map_err(bad)?;
     let kernel = parse_kernel(&value).map_err(bad)?;
-    let samples = field_uint(&value, "samples", 1, 100_000).map_err(bad)?.unwrap_or(200) as usize;
-    let seed = field_uint(&value, "seed", 0, MAX_EXACT_UINT).map_err(bad)?.unwrap_or(2008);
-    let threads = field_uint(&value, "threads", 1, 32).map_err(bad)?.unwrap_or(1) as usize;
+    let samples = field_uint(&value, "samples", 1, 100_000)
+        .map_err(bad)?
+        .unwrap_or(200) as usize;
+    let seed = field_uint(&value, "seed", 0, MAX_EXACT_UINT)
+        .map_err(bad)?
+        .unwrap_or(2008);
+    let threads = field_uint(&value, "threads", 1, 32)
+        .map_err(bad)?
+        .unwrap_or(1) as usize;
     let area_fraction = match field_pos_f64(&value, "area_fraction").map_err(bad)? {
         None => 0.02,
         Some(a) if (1e-4..=1.0).contains(&a) => a,
@@ -951,7 +963,9 @@ pub fn parse_request(line: &str) -> Result<ServeRequest, BadRequest> {
     let deadline = field_uint(&value, "deadline_ms", 1, 600_000)
         .map_err(bad)?
         .map(Duration::from_millis);
-    let inject_panic = field_bool(&value, "inject_panic").map_err(bad)?.unwrap_or(false);
+    let inject_panic = field_bool(&value, "inject_panic")
+        .map_err(bad)?
+        .unwrap_or(false);
     let inject_hang_ms = field_uint(&value, "inject_hang_ms", 1, 60_000).map_err(bad)?;
     let trace = field_bool(&value, "trace").map_err(bad)?.unwrap_or(false);
     let mode = parse_mode(&value).map_err(bad)?;
@@ -1032,10 +1046,7 @@ mod tests {
     #[test]
     fn minimal_query_gets_defaults() {
         let spec = parse_query(r#"{"id":"q1"}"#);
-        assert_eq!(
-            spec.circuit,
-            CircuitSpec::Synthetic { gates: 48, seed: 7 }
-        );
+        assert_eq!(spec.circuit, CircuitSpec::Synthetic { gates: 48, seed: 7 });
         assert_eq!(spec.samples, 200);
         assert_eq!(spec.seed, 2008);
         assert_eq!(spec.threads, 1);
@@ -1056,9 +1067,8 @@ mod tests {
                 edit_scale: 0.3
             }
         );
-        let spec = parse_query(
-            r#"{"id":"h2","mode":"hier","blocks":8,"edit_gate":33,"edit_scale":0.5}"#,
-        );
+        let spec =
+            parse_query(r#"{"id":"h2","mode":"hier","blocks":8,"edit_gate":33,"edit_scale":0.5}"#);
         assert_eq!(
             spec.mode,
             QueryMode::Hier {
@@ -1073,8 +1083,14 @@ mod tests {
     fn hier_mode_rejections_are_typed() {
         let cases: [(&str, &str); 6] = [
             (r#"{"id":"h","mode":"flat"}"#, "unknown mode"),
-            (r#"{"id":"h","blocks":4}"#, "applies only to `mode:\"hier\"`"),
-            (r#"{"id":"h","mode":"hier","blocks":0}"#, "`blocks` must be in"),
+            (
+                r#"{"id":"h","blocks":4}"#,
+                "applies only to `mode:\"hier\"`",
+            ),
+            (
+                r#"{"id":"h","mode":"hier","blocks":0}"#,
+                "`blocks` must be in",
+            ),
             (
                 r#"{"id":"h","mode":"hier","samples":50}"#,
                 "hier runs no Monte Carlo",
@@ -1110,11 +1126,16 @@ mod tests {
 
     #[test]
     fn integers_up_to_2_pow_53_minus_1_parse_exactly() {
-        let spec = parse_query(
-            r#"{"id":"q","seed":9007199254740991,"circuit_seed":9007199254740991}"#,
-        );
+        let spec =
+            parse_query(r#"{"id":"q","seed":9007199254740991,"circuit_seed":9007199254740991}"#);
         assert_eq!(spec.seed, 9_007_199_254_740_991);
-        assert!(matches!(spec.circuit, CircuitSpec::Synthetic { seed: 9_007_199_254_740_991, .. }));
+        assert!(matches!(
+            spec.circuit,
+            CircuitSpec::Synthetic {
+                seed: 9_007_199_254_740_991,
+                ..
+            }
+        ));
         match parse_request(r#"{"id":9007199254740991}"#) {
             Ok(ServeRequest::Query { id, .. }) => assert_eq!(id, "9007199254740991"),
             other => panic!("unexpected {other:?}"),
@@ -1129,8 +1150,14 @@ mod tests {
                 id: Some("p".into())
             })
         );
-        assert_eq!(parse_request(r#"{"op":"ping"}"#), Ok(ServeRequest::Ping { id: None }));
-        assert_eq!(parse_request(r#"{"op":"shutdown"}"#), Ok(ServeRequest::Shutdown));
+        assert_eq!(
+            parse_request(r#"{"op":"ping"}"#),
+            Ok(ServeRequest::Ping { id: None })
+        );
+        assert_eq!(
+            parse_request(r#"{"op":"shutdown"}"#),
+            Ok(ServeRequest::Shutdown)
+        );
     }
 
     #[test]
@@ -1160,14 +1187,23 @@ mod tests {
             (r#"{"id":"q","op":"destroy"}"#, "unknown op"),
             (r#"{"circuit":"c880"}"#, "require an `id`"),
             (r#"{"id":"q","circuit":"c999"}"#, "unknown circuit"),
-            (r#"{"id":"q","circuit":"c880","scale":2.0}"#, "`scale` must be in (0, 1]"),
+            (
+                r#"{"id":"q","circuit":"c880","scale":2.0}"#,
+                "`scale` must be in (0, 1]",
+            ),
             (r#"{"id":"q","scale":0.5}"#, "applies only to named"),
             (r#"{"id":"q","samples":0}"#, "`samples` must be in"),
             (r#"{"id":"q","samples":2.5}"#, "non-negative integer"),
             (r#"{"id":"q","kernel":"matern","c":1.0}"#, "not a parameter"),
             (r#"{"id":"q","deadline_ms":-5}"#, "non-negative integer"),
-            (r#"{"id":"q","seed":9007199254740993}"#, "at most 9007199254740991"),
-            (r#"{"id":"q","circuit_seed":1e16}"#, "at most 9007199254740991"),
+            (
+                r#"{"id":"q","seed":9007199254740993}"#,
+                "at most 9007199254740991",
+            ),
+            (
+                r#"{"id":"q","circuit_seed":1e16}"#,
+                "at most 9007199254740991",
+            ),
             (r#"{"id":9007199254740993}"#, "at most 9007199254740991"),
         ];
         for (line, want) in cases {
@@ -1221,8 +1257,14 @@ mod tests {
         let line = outcome_response("q1", &outcome);
         assert!(line.contains(r#""status":"completed""#), "{line}");
         assert!(!line.contains('\n'));
-        assert!(!line.contains(r#""trace""#), "no trace unless attached: {line}");
-        assert!(!line.contains(r#""hier""#), "no hier section on mc responses: {line}");
+        assert!(
+            !line.contains(r#""trace""#),
+            "no trace unless attached: {line}"
+        );
+        assert!(
+            !line.contains(r#""hier""#),
+            "no hier section on mc responses: {line}"
+        );
 
         let hier = QueryOutcome {
             hier: Some(HierOutcome {
@@ -1262,7 +1304,10 @@ mod tests {
             ..outcome.clone()
         };
         let traced_line = outcome_response("q1", &traced);
-        assert!(traced_line.contains(r#""trace":{"trace_id":"t0ffee""#), "{traced_line}");
+        assert!(
+            traced_line.contains(r#""trace":{"trace_id":"t0ffee""#),
+            "{traced_line}"
+        );
         assert!(
             traced_line.contains(r#""path":"req/kle/galerkin/assemble""#),
             "{traced_line}"
@@ -1287,7 +1332,12 @@ mod tests {
         assert!(shed.contains(r#""reason":"overloaded""#), "{shed}");
         assert!(shed.contains(r#""retry_after_ms":250"#), "{shed}");
 
-        let bad = error_response(None, &ServeError::BadRequest { message: "x".into() });
+        let bad = error_response(
+            None,
+            &ServeError::BadRequest {
+                message: "x".into(),
+            },
+        );
         assert!(bad.contains(r#""id":null"#), "{bad}");
         assert!(pong_response(Some("p")).contains(r#""status":"pong""#));
         assert!(draining_response().contains("draining"));

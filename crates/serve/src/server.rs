@@ -35,7 +35,7 @@ use klest_mesh::MeshError;
 use klest_obs::{DeadlineSlo, MetricsSnapshot, SlidingWindow, SloSnapshot, LATENCY_MS_BOUNDS};
 use klest_rng::{Rng, SplitMix64};
 use klest_runtime::{
-    Budget, BoundedQueue, CancelToken, Cancelled, PoolUsage, PushError, ShardStatus, StageBudgets,
+    BoundedQueue, Budget, CancelToken, Cancelled, PoolUsage, PushError, ShardStatus, StageBudgets,
     Supervisor, WaitGroup,
 };
 use klest_ssta::experiments::{CircuitSetup, KleContext, KleContextError};
@@ -50,8 +50,8 @@ use crate::journal::{PendingRequest, RequestJournal};
 use crate::json::Json;
 use crate::protocol::{
     draining_response, error_response, outcome_response, parse_request, pong_response,
-    stats_response, HierEditOutcome, HierOutcome, LatencyStats, QueryMode, QueryOutcome,
-    QuerySpec, ServeError, ServeRequest, StatsReport, TraceInfo,
+    stats_response, HierEditOutcome, HierOutcome, LatencyStats, QueryMode, QueryOutcome, QuerySpec,
+    ServeError, ServeRequest, StatsReport, TraceInfo,
 };
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -167,7 +167,11 @@ impl ServeSummary {
     /// invariant is `admitted == completed + salvaged + shed_deadline +
     /// shed_draining + cancelled + faults + rejected`.
     pub fn admitted_terminals(&self) -> u64 {
-        self.completed + self.salvaged + self.shed_deadline + self.shed_draining + self.cancelled
+        self.completed
+            + self.salvaged
+            + self.shed_deadline
+            + self.shed_draining
+            + self.cancelled
             + self.faults
             + self.rejected
     }
@@ -342,12 +346,9 @@ fn exec_err(e: SstaError) -> ExecError {
 }
 
 fn frontend_config(spec: &QuerySpec) -> FrontEndConfig {
-    let mut config = FrontEndConfig::new(
-        spec.area_fraction,
-        28.0,
-        TruncationCriterion::new(60, 0.01),
-    )
-    .with_supervised_ladder();
+    let mut config =
+        FrontEndConfig::new(spec.area_fraction, 28.0, TruncationCriterion::new(60, 0.01))
+            .with_supervised_ladder();
     // Request-level parallelism comes from the worker pool; per-request
     // assembly stays serial so concurrent requests cannot oversubscribe
     // the machine.
@@ -484,9 +485,10 @@ impl Server {
         let emitter_stop = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
 
         std::thread::scope(|scope| {
-            if let (Some(interval), Some(path)) =
-                (self.config.metrics_interval, self.config.metrics_out.clone())
-            {
+            if let (Some(interval), Some(path)) = (
+                self.config.metrics_interval,
+                self.config.metrics_out.clone(),
+            ) {
                 let stop = Arc::clone(&emitter_stop);
                 let stats = &self.stats;
                 scope.spawn(move || {
@@ -773,8 +775,7 @@ impl Server {
             config.max_area_fraction,
             config.min_angle_degrees,
         );
-        let galerkin_key =
-            ArtifactKey::galerkin(&mesh_key, &kernel_key, config.options.quadrature);
+        let galerkin_key = ArtifactKey::galerkin(&mesh_key, &kernel_key, config.options.quadrature);
         let spectrum_key = ArtifactKey::spectrum(
             &galerkin_key,
             config.options.solver,
@@ -799,7 +800,10 @@ impl Server {
         .map_err(|e| format!("circuit generation failed: {e}"))
     }
 
-    fn setup_for(&self, circuit: &crate::protocol::CircuitSpec) -> Result<Arc<CircuitSetup>, String> {
+    fn setup_for(
+        &self,
+        circuit: &crate::protocol::CircuitSpec,
+    ) -> Result<Arc<CircuitSetup>, String> {
         let key = circuit.memo_key();
         if let Some(setup) = lock(&self.setups).get(&key) {
             return Ok(Arc::clone(setup));
@@ -829,13 +833,7 @@ impl Server {
         }
     }
 
-    fn process_job<W: Write>(
-        &self,
-        job: Job,
-        root: &CancelToken,
-        counts: &Counts,
-        out: &Mutex<W>,
-    ) {
+    fn process_job<W: Write>(&self, job: Job, root: &CancelToken, counts: &Counts, out: &Mutex<W>) {
         // Deterministic kill point for the crash harness: with
         // `KLEST_CRASH_AT=serve.request:N` the Nth dequeued request
         // aborts the process here — after its admit record, before its
@@ -944,7 +942,10 @@ impl Server {
                 let trace = want_trace.then(|| {
                     let mut events = Vec::new();
                     if status.retries() > 0 {
-                        events.push(format!("retried {} time(s) after a fault", status.retries()));
+                        events.push(format!(
+                            "retried {} time(s) after a fault",
+                            status.retries()
+                        ));
                     }
                     if data.coarsenings > 0 {
                         events.push(format!("degraded: {} coarsening step(s)", data.coarsenings));
@@ -1023,10 +1024,7 @@ impl Server {
                 self.record_slo(&job, false);
                 respond(
                     out,
-                    &error_response(
-                        Some(&job.id),
-                        &ServeError::Fault { attempts, message },
-                    ),
+                    &error_response(Some(&job.id), &ServeError::Fault { attempts, message }),
                 );
             }
             (None, _) => {
@@ -1093,8 +1091,8 @@ impl Server {
             faults: plan.as_ref(),
             report: &mut report,
         };
-        let run =
-            run_monte_carlo_with(&setup.timer, &[&sampler; N_PARAMS], &mc, mode).map_err(exec_err)?;
+        let run = run_monte_carlo_with(&setup.timer, &[&sampler; N_PARAMS], &mc, mode)
+            .map_err(exec_err)?;
         let stats = run.worst_delay_stats();
         let (samples, planned, ci_widening) = match run.salvage() {
             Some(s) => (s.completed, s.planned, s.ci_widening),
@@ -1202,7 +1200,9 @@ impl Server {
                     0.25 * edit_scale,
                     0.1 * edit_scale,
                 ]);
-                engine.edit_gate(NodeId(gate as u32), p, token).map_err(exec_err)?;
+                engine
+                    .edit_gate(NodeId(gate as u32), p, token)
+                    .map_err(exec_err)?;
                 let stats = engine.last_stats();
                 let w = engine.worst();
                 Some(HierEditOutcome {
@@ -1263,10 +1263,7 @@ fn summary_line(s: &ServeSummary, slo: &SloSnapshot) -> String {
         ("slo_total".into(), Json::Num(slo.total as f64)),
         ("slo_met".into(), Json::Num(slo.met as f64)),
         ("slo_fraction".into(), opt(slo.fraction())),
-        (
-            "slo_error_budget".into(),
-            opt(slo.error_budget_remaining()),
-        ),
+        ("slo_error_budget".into(), opt(slo.error_budget_remaining())),
         ("clean".into(), Json::Bool(s.drained_clean)),
     ])
     .to_compact_string()
@@ -1285,7 +1282,11 @@ fn emit_metrics_loop(
     stop: &(Mutex<bool>, std::sync::Condvar),
 ) {
     use std::io::Write as _;
-    let Ok(mut file) = std::fs::OpenOptions::new().create(true).append(true).open(path) else {
+    let Ok(mut file) = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+    else {
         return;
     };
     let (flag, cv) = stop;

@@ -84,9 +84,8 @@ fn stats_op_reports_acceptance_fields() {
     // queries on one connection, probe stats on the next, and the
     // lifetime counters carry over (same continuity the cache has).
     let server = Server::new(fast_config());
-    let queries = format!(
-        "{{\"id\":\"q1\",\"deadline_ms\":30000,{TINY}}}\n{{\"id\":\"q2\",{TINY}}}\n"
-    );
+    let queries =
+        format!("{{\"id\":\"q1\",\"deadline_ms\":30000,{TINY}}}\n{{\"id\":\"q2\",{TINY}}}\n");
     let mut out: Vec<u8> = Vec::new();
     server.serve(Cursor::new(queries), &mut out);
     let mut out: Vec<u8> = Vec::new();
@@ -148,13 +147,14 @@ fn stats_op_reports_acceptance_fields() {
 #[test]
 fn trace_opt_in_requires_both_request_and_daemon_gate() {
     let _gate = serialize();
-    let input = format!(
-        "{{\"id\":\"t1\",\"trace\":true,{TINY}}}\n{{\"id\":\"t2\",{TINY}}}\n"
-    );
+    let input = format!("{{\"id\":\"t1\",\"trace\":true,{TINY}}}\n{{\"id\":\"t2\",{TINY}}}\n");
 
     // Daemon gate off: even an opted-in request gets no trace object.
     let lines = run_lines(fast_config(), &input);
-    for line in lines.iter().filter(|l| l.contains("\"status\":\"completed\"")) {
+    for line in lines
+        .iter()
+        .filter(|l| l.contains("\"status\":\"completed\""))
+    {
         assert!(!line.contains("\"trace\":{"), "{line}");
     }
 
@@ -223,9 +223,7 @@ fn metrics_emitter_writes_schema_lines() {
     };
     // The hang keeps the connection open long enough for a few
     // emitter intervals to elapse before drain.
-    let input = format!(
-        "{{\"id\":\"m1\",\"inject_hang_ms\":30000,\"deadline_ms\":200,{TINY}}}\n"
-    );
+    let input = format!("{{\"id\":\"m1\",\"inject_hang_ms\":30000,\"deadline_ms\":200,{TINY}}}\n");
     run_lines(config, &input);
     klest_obs::disable();
     klest_obs::reset();
