@@ -135,11 +135,13 @@ cancelled while other requests keep running. {\"op\":\"shutdown\"} or EOF
 (the std-only daemon cannot trap SIGTERM — process managers should close
 stdin) drains gracefully within --drain-ms and emits a final
 status=drained summary line. --state-dir DIR makes the daemon
-crash-restartable: admitted queries are journaled (fsynced) to
-DIR/journal.log before they run and marked done after their one terminal
-response, the disk artifact cache defaults to DIR/cache, and a restarted
-daemon recovers the cache (quarantining torn entries) and replays the
-journal's pending tail, answering each journaled request exactly once.
+crash-restartable: admitted queries are journaled (one fsynced,
+checksummed frame each) to DIR/journal.log before they run and marked
+done after their one terminal response, the disk artifact cache defaults
+to DIR/cache, and a restarted daemon cuts a torn journal tail, replays
+the journal's pending tail, answering each journaled request exactly
+once, and serves the cache warm (a damaged entry is quarantined at its
+first lookup).
 
 TELEMETRY (serve): {\"op\":\"stats\"} answers inline with queue depth,
 lifetime admit/shed/fault counters, windowed warm/cold latency quantiles

@@ -2,13 +2,12 @@
 //!
 //! Two primitives make the stack restartable at any instant:
 //!
-//! - [`CheckpointStore`]: a directory of named, generation-stamped,
-//!   checksummed checkpoint files written with the full crash-safe
-//!   ladder (unique temp file → fsync → atomic rename → directory
-//!   fsync). A torn or corrupted checkpoint is *quarantined* — renamed
-//!   aside and counted — never silently trusted or silently dropped, so
-//!   recovery code can distinguish "no checkpoint" from "damaged
-//!   checkpoint".
+//! - [`CheckpointStore`]: a directory of named, generation-stamped
+//!   checkpoint files, each one [`durable`](crate::durable) frame
+//!   written by [`durable::write_atomic`]. A torn or corrupted
+//!   checkpoint is *quarantined* — renamed aside and counted — never
+//!   silently trusted or silently dropped, so recovery code can
+//!   distinguish "no checkpoint" from "damaged checkpoint".
 //! - [`crash_point`] / [`arm_crash_point`]: deterministic kill points.
 //!   Library code marks the instants at which a real process death is
 //!   survivable; tests arm the N-th arrival at a named site to die.
@@ -28,38 +27,28 @@
 
 use std::cell::RefCell;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// FNV-1a 64-bit hash — the integrity checksum for checkpoint payloads,
-/// journal records and the artifact-cache manifest, and the cache's
-/// file-name fingerprint (dependency-free, stable across platforms).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+use crate::durable;
 
-const HEADER: &str = "klest-checkpoint/v1";
+/// Frame tag of a checkpoint file. Its payload is
+/// `"<name> <generation>\n"` followed by the caller's payload.
+const TAG: &str = "klest-checkpoint/v2";
 const EXT: &str = "ckpt";
-
-/// Monotonic uniquifier for temp file names, so concurrent saves (or a
-/// crash-leftover temp from a previous life) can never collide.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A directory of named crash-consistent checkpoints.
 ///
-/// Every [`save`](CheckpointStore::save) is atomic and durable: the new
-/// payload is written to a unique temp file, fsynced, renamed over the
-/// live name and the directory entry is fsynced — a crash at any instant
-/// leaves either the previous generation or the new one, never a torn
-/// file under the live name. Every [`load`](CheckpointStore::load)
-/// validates the embedded length and FNV-1a checksum; damage is
+/// Every [`save`](CheckpointStore::save) is atomic and durable
+/// ([`durable::write_atomic`]): a crash at any instant leaves either the
+/// previous generation or the new one, never a torn file under the live
+/// name. Each file is one [`durable`](crate::durable) frame tagged
+/// `klest-checkpoint/v2`, carrying the checkpoint's name, generation
+/// stamp and payload. Every [`load`](CheckpointStore::load) validates
+/// the frame's length and FNV-1a checksum; damage — including a
+/// checkpoint written in the older `klest-checkpoint/v1` layout — is
 /// quarantined (renamed to `*.quarantine`, counted in the
 /// `runtime.checkpoint.quarantined` obs counter) instead of being
 /// silently skipped.
@@ -87,10 +76,8 @@ impl CheckpointStore {
             if path.extension().and_then(|e| e.to_str()) != Some(EXT) {
                 continue;
             }
-            if let Ok(text) = fs::read_to_string(&path) {
-                if let Some(g) = parse_generation(&text) {
-                    max_gen = max_gen.max(g);
-                }
+            if let Some((_, generation, _)) = fs::read(&path).ok().as_deref().and_then(parse) {
+                max_gen = max_gen.max(generation);
             }
         }
         Ok(CheckpointStore {
@@ -116,32 +103,14 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidInput`] for a `name` outside
-    /// `[A-Za-z0-9._-]`, otherwise any I/O error from the write ladder.
+    /// `[A-Za-z0-9._-]`, otherwise any I/O error from
+    /// [`durable::write_atomic`].
     pub fn save(&self, name: &str, payload: &str) -> io::Result<u64> {
         validate_name(name)?;
         let generation = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
-        let framed = format!(
-            "{HEADER}\nname {name}\ngeneration {generation}\nlen {}\nfnv1a64 {:016x}\n{payload}",
-            payload.len(),
-            fnv1a64(payload.as_bytes()),
-        );
-        let live = self.path_of(name);
-        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .dir
-            .join(format!(".{name}.tmp.{}.{seq}", std::process::id()));
-        let result = (|| {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(framed.as_bytes())?;
-            f.sync_all()?;
-            fs::rename(&tmp, &live)?;
-            fsync_dir(&self.dir);
-            Ok(generation)
-        })();
-        if result.is_err() {
-            let _ = fs::remove_file(&tmp);
-        }
-        result
+        let body = format!("{name} {generation}\n{payload}");
+        durable::write_atomic(&self.path_of(name), &durable::frame(TAG, body.as_bytes()))?;
+        Ok(generation)
     }
 
     /// Loads checkpoint `name`, returning its generation stamp and
@@ -154,18 +123,21 @@ impl CheckpointStore {
             return None;
         }
         let path = self.path_of(name);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
-            Err(_) => {
-                self.quarantine(&path);
-                return None;
-            }
+            // Unreadable counts as damaged: set it aside like a torn file.
+            Err(_) => Vec::new(),
         };
-        match parse_checkpoint(&text, name) {
-            Some(parsed) => Some(parsed),
-            None => {
-                self.quarantine(&path);
+        match parse(&bytes) {
+            Some((got, generation, payload)) if got == name => {
+                Some((generation, payload.to_string()))
+            }
+            _ => {
+                if durable::quarantine(&path) {
+                    self.quarantined.fetch_add(1, Ordering::Relaxed);
+                    klest_obs::counter_add("runtime.checkpoint.quarantined", 1);
+                }
                 None
             }
         }
@@ -188,15 +160,6 @@ impl CheckpointStore {
     fn path_of(&self, name: &str) -> PathBuf {
         self.dir.join(format!("{name}.{EXT}"))
     }
-
-    fn quarantine(&self, path: &Path) {
-        let mut aside = path.as_os_str().to_owned();
-        aside.push(".quarantine");
-        if fs::rename(path, PathBuf::from(aside)).is_ok() {
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
-            klest_obs::counter_add("runtime.checkpoint.quarantined", 1);
-        }
-    }
 }
 
 fn validate_name(name: &str) -> io::Result<()> {
@@ -215,45 +178,13 @@ fn validate_name(name: &str) -> io::Result<()> {
     }
 }
 
-fn parse_generation(text: &str) -> Option<u64> {
-    let mut lines = text.lines();
-    if lines.next()? != HEADER {
-        return None;
-    }
-    lines.next()?; // name
-    lines.next()?.strip_prefix("generation ")?.parse().ok()
-}
-
-/// Validates a framed checkpoint file against `name`; `None` on any
-/// header, length or checksum mismatch (including a torn tail).
-fn parse_checkpoint(text: &str, name: &str) -> Option<(u64, String)> {
-    let rest = text.strip_prefix(HEADER)?.strip_prefix('\n')?;
-    let rest = rest.strip_prefix("name ")?;
-    let (got_name, rest) = rest.split_once('\n')?;
-    if got_name != name {
-        return None;
-    }
-    let rest = rest.strip_prefix("generation ")?;
-    let (gen_str, rest) = rest.split_once('\n')?;
-    let generation: u64 = gen_str.parse().ok()?;
-    let rest = rest.strip_prefix("len ")?;
-    let (len_str, rest) = rest.split_once('\n')?;
-    let len: usize = len_str.parse().ok()?;
-    let rest = rest.strip_prefix("fnv1a64 ")?;
-    let (sum_str, payload) = rest.split_once('\n')?;
-    let sum = u64::from_str_radix(sum_str, 16).ok()?;
-    if payload.len() != len || fnv1a64(payload.as_bytes()) != sum {
-        return None;
-    }
-    Some((generation, payload.to_string()))
-}
-
-/// Best-effort fsync of a directory entry (rename durability). Ignored on
-/// platforms where directories cannot be opened for sync.
-fn fsync_dir(dir: &Path) {
-    if let Ok(f) = fs::File::open(dir) {
-        let _ = f.sync_all();
-    }
+/// Splits a checkpoint file into `(name, generation, payload)`; `None`
+/// unless it is one whole checkpoint frame.
+fn parse(bytes: &[u8]) -> Option<(&str, u64, &str)> {
+    let text = std::str::from_utf8(durable::read_frame(bytes, TAG)?).ok()?;
+    let (head, payload) = text.split_once('\n')?;
+    let (name, generation) = head.split_once(' ')?;
+    Some((name, generation.parse().ok()?, payload))
 }
 
 // ---------------------------------------------------------------------------
@@ -459,10 +390,11 @@ mod tests {
     use super::*;
 
     fn tempdir(tag: &str) -> PathBuf {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "klest-ckpt-{tag}-{}-{}",
             std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+            SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
@@ -567,10 +499,15 @@ mod tests {
 
     #[test]
     fn fnv_reference_vectors() {
+        use crate::fnv1a64;
         // Public-domain FNV-1a test vectors.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(
+            klest_rng::fnv1a64_extend(fnv1a64(b"foo"), b"bar"),
+            fnv1a64(b"foobar")
+        );
     }
 
     #[test]

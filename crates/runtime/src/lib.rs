@@ -2,7 +2,7 @@
 //!
 //! The paper's pitch is that kernel-KLE makes Monte Carlo SSTA practical at
 //! scale; a practical *service* must additionally bound its own runtime. This
-//! crate provides the two primitives the rest of the workspace builds on:
+//! crate provides the primitives the rest of the workspace builds on:
 //!
 //! - [`CancelToken`] / [`Budget`]: a cheap cooperative-cancellation handle
 //!   (one relaxed atomic load on the fast path) carrying an optional
@@ -23,8 +23,15 @@
 //!   for long-lived services — non-blocking typed-rejection pushes (load
 //!   shedding), blocking pops, close-for-drain semantics and a
 //!   deadline-aware all-workers-exited barrier.
+//! - [`durable`]: the one module that writes crash-safe files — atomic
+//!   replace ([`durable::write_atomic`]), one self-checking frame format
+//!   with a reader that stops at the first torn or damaged frame, an
+//!   append-only [`durable::FrameLog`] cut back to its last whole frame
+//!   on open, and [`durable::quarantine`]. The artifact cache's disk
+//!   layer, [`CheckpointStore`] and serve's request journal all write
+//!   through it.
 //! - [`CheckpointStore`] / [`crash_point`]: crash-consistent named
-//!   checkpoints (atomic, fsynced, checksummed, quarantine-on-damage)
+//!   checkpoints (one durable frame per file, quarantine-on-damage)
 //!   plus deterministic kill points — [`CrashMode::Unwind`] simulates
 //!   process death in-test via an [`AbortSignal`] panic the supervisor
 //!   refuses to retry; [`CrashMode::Abort`] is the real
@@ -33,23 +40,29 @@
 //!   environment hook is the single process-wide plan, counting
 //!   arrivals from every thread and always aborting for real.
 //!
-//! The crate is std-only (its single in-workspace dependency, `klest-obs`,
-//! is used for retry/fault counters) and sits below `klest-linalg`,
-//! `klest-mesh`, `klest-core` and `klest-ssta` in the crate DAG so all of
-//! them can thread tokens through their inner loops.
+//! The crate is std-only (its in-workspace dependencies are `klest-obs`,
+//! for retry/fault counters, and `klest-rng`, for [`fnv1a64`]) and sits
+//! below `klest-linalg`, `klest-mesh`, `klest-core` and `klest-ssta` in
+//! the crate DAG so all of them can thread tokens through their inner
+//! loops.
 
 #![deny(missing_docs)]
 
 mod checkpoint;
+pub mod durable;
 mod queue;
 mod supervisor;
 mod token;
 mod usage;
 
 pub use checkpoint::{
-    arm_crash_point, crash_point, disarm_crash_points, fnv1a64, simulated_abort, AbortSignal,
+    arm_crash_point, crash_point, disarm_crash_points, simulated_abort, AbortSignal,
     CheckpointStore, CrashMode,
 };
+/// FNV-1a 64-bit hash: checksums [`durable`] frames and fingerprints
+/// cache file names. Re-exported from `klest-rng`, the workspace's one
+/// copy.
+pub use klest_rng::fnv1a64;
 pub use queue::{BoundedQueue, PushError, WaitGroup};
 pub use supervisor::{ShardStatus, SupervisedRun, Supervisor};
 pub use token::{Budget, CancelToken, Cancelled, StageBudgets};

@@ -285,7 +285,8 @@ fn mc_killed_at_every_batch_resumes_bitwise() {
 /// the admits without a done marker, in admission order — and when the
 /// tail of the file is torn off at an arbitrary byte, every surviving
 /// pending payload is still byte-identical to what was admitted (a
-/// damaged record degrades to "lost", never to "replayed corrupted").
+/// damaged record degrades to "lost", never to "replayed corrupted"),
+/// and records appended after the torn reopen survive the next one.
 #[test]
 fn journal_pending_survives_truncation_with_intact_payloads() {
     let strat = (
@@ -345,7 +346,7 @@ fn journal_pending_survives_truncation_with_intact_payloads() {
             let text = std::fs::read_to_string(&path).map_err(|e| format!("read: {e}"))?;
             let keep = text.len() - cut % (text.len() + 1);
             std::fs::write(&path, &text[..keep]).map_err(|e| format!("truncate: {e}"))?;
-            let (_, pending) = RequestJournal::open(&path);
+            let (journal, pending) = RequestJournal::open(&path);
             for got in &pending {
                 let original = payloads
                     .get(got.seq as usize)
@@ -356,6 +357,29 @@ fn journal_pending_survives_truncation_with_intact_payloads() {
                         got.seq
                     ));
                 }
+            }
+            // The torn tail must not swallow the record appended after
+            // it: a done for the first surviving request when there is
+            // one, else a new admit. Both must survive the next reopen.
+            let retired = pending.first().map(|p| p.seq);
+            if let Some(seq) = retired {
+                journal.record_done(seq);
+            }
+            let extra = r#"{"op":"query","id":"after-tear"}"#;
+            let extra_seq = journal
+                .record_admit(extra)
+                .ok_or("admit after the tear not durable")?;
+            drop(journal);
+            let (_, after) = RequestJournal::open(&path);
+            if !after.iter().any(|p| p.seq == extra_seq && p.line == extra) {
+                return Err(format!(
+                    "admit {extra_seq} after a tear at byte {keep} was lost: {after:?}"
+                ));
+            }
+            if let Some(seq) = retired.filter(|seq| after.iter().any(|p| p.seq == *seq)) {
+                return Err(format!(
+                    "done {seq} after a tear at byte {keep} was lost, so it replays again"
+                ));
             }
             let _ = std::fs::remove_dir_all(&dir);
             Ok(())
